@@ -118,7 +118,6 @@ Status RpcEgressBridge::start() {
   spec.prefix = options_.key_prefix;
   spec.filter = options_.filter;
   spec.qos = options_.qos;
-  if (spec.qos.window == 0) spec.qos.window = options_.batch_window;
   if (spec.qos.window > 0) {
     auto sub = store_.subscribe_batch(principal(), std::move(spec),
                                       [this](const de::WatchBatch& batch) {

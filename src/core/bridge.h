@@ -76,17 +76,14 @@ class RpcEgressBridge {
     std::string response_field = "response";
     /// Field of the request object naming the method (absent => `method`).
     std::string method = "";
-    /// When > 0, subscribe with this coalescing window: a burst of request
-    /// writes arrives as one coalesced WatchBatch (one notification) and
-    /// the bridge issues the RPCs from the batch. Equivalent to setting
-    /// `qos.window`.
-    sim::SimTime batch_window = 0;
     /// Content filter over request objects (`expr::` predicate; "" = all).
     /// Compiled into the unified subscription layer, so a request write
     /// the predicate rejects never reaches the bridge — no RPC, no queue
     /// slot, no callback.
     std::string filter;
     /// Per-subscriber delivery contract (window/deadline/history/stage).
+    /// With `qos.window` > 0 a burst of request writes arrives as one
+    /// coalesced WatchBatch and the bridge issues the RPCs from the batch.
     /// The deadline feeds `stage:` SLO selectors via `sub.deliver` spans.
     de::SubscriptionQos qos;
     /// Optional: each bridged call gets a span parented under the request

@@ -181,21 +181,7 @@ void CastIntegrator::install_watches() {
         principal(), std::move(spec), [this](const de::WatchEvent& event) {
           if (!running_ || pushdown_) return;
           trigger_ctx_ = event.ctx;
-          if (options_.debounce <= 0) {
-            run_pass_async(options_.max_rounds_per_event);
-            return;
-          }
-          // Debounce: the first event of a burst arms one delayed pass;
-          // later events within the window ride along (the pass runs
-          // under the latest event's trace).
-          if (debounce_pending_) return;
-          debounce_pending_ = true;
-          de_.clock().schedule_after(options_.debounce, [this]() {
-            debounce_pending_ = false;
-            if (running_ && !pushdown_) {
-              run_pass_async(options_.max_rounds_per_event);
-            }
-          });
+          run_pass_async(options_.max_rounds_per_event);
         });
     if (!sub.ok()) {
       KN_WARN << "cast " << name_ << ": subscribe denied on store '"
@@ -238,6 +224,47 @@ Value CastIntegrator::build_alias_value(
     }
   }
   return out;
+}
+
+void CastIntegrator::ingest(Snapshot& snapshot, const std::string& alias,
+                            const std::vector<de::StateObject>& objects) {
+  snapshot.values[alias] = build_alias_value(objects);
+  auto& keys = snapshot.keys[alias];
+  auto& versions = snapshot.versions[alias];
+  for (const auto& obj : objects) {
+    keys.push_back(obj.key);
+    versions[obj.key] = obj.version;
+  }
+}
+
+CastIntegrator::PatchWrite CastIntegrator::patch_write(PatchSet& ps,
+                                                       std::size_t pi,
+                                                       bool lineage) {
+  const auto& [key, fields] = ps.patches[pi];
+  PatchWrite patch;
+  patch.alias = key.first;
+  patch.object = key.second;
+  patch.fields = fields.is_object() ? fields.as_object().size() : 0;
+  if (lineage) patch.inputs = std::move(ps.inputs[pi]);
+  return patch;
+}
+
+bool CastIntegrator::book_write(const Result<std::uint64_t>& r,
+                                PatchWrite& patch, bool lineage,
+                                const TraceContext& ctx, std::uint64_t span,
+                                std::size_t& wrote) {
+  if (!r.ok()) {
+    ++stats_.eval_errors;
+    KN_DEBUG << "cast " << name_ << ": write failed: " << r.error().to_string();
+    return false;
+  }
+  wrote += patch.fields;
+  stats_.fields_written += patch.fields;
+  if (lineage) {
+    record_lineage(patch.alias, patch.object, r.value(),
+                   std::move(patch.inputs), ctx, span);
+  }
+  return true;
 }
 
 void CastIntegrator::add_input(const std::string& alias,
@@ -573,55 +600,7 @@ void CastIntegrator::run_pass_async(int rounds_left) {
             return;
           }
           const bool lineage = !ps.inputs.empty();
-          if (options_.atomic_writes) {
-            *writes_left = 1;
-            std::vector<de::ObjectDe::TxnOp> ops;
-            auto targets = std::make_shared<
-                std::vector<std::pair<std::string, std::string>>>();
-            auto inputs = std::make_shared<
-                std::vector<std::vector<LineageRef>>>();
-            std::size_t n = 0;
-            for (std::size_t pi = 0; pi < ps.patches.size(); ++pi) {
-              auto& [key, fields] = ps.patches[pi];
-              const auto& [alias, object] = key;
-              de::ObjectDe::TxnOp op;
-              op.store = stores_[alias]->name();
-              op.key = object;
-              n += fields.is_object() ? fields.as_object().size() : 0;
-              op.data = std::move(fields);
-              op.merge = true;
-              ops.push_back(std::move(op));
-              if (lineage) {
-                targets->emplace_back(alias, object);
-                inputs->push_back(std::move(ps.inputs[pi]));
-              }
-            }
-            de_.kernel().set_trace_context(write_ctx);
-            de_.transact(principal(), std::move(ops),
-                         [this, writes_left, wrote, write_failed, complete, n,
-                          targets, inputs, write_ctx, span](Result<Value> r) {
-                           --*writes_left;
-                           if (r.ok()) {
-                             *wrote += n;
-                             stats_.fields_written += n;
-                             for (std::size_t i = 0; i < targets->size(); ++i) {
-                               record_lineage((*targets)[i].first,
-                                              (*targets)[i].second, 0,
-                                              std::move((*inputs)[i]),
-                                              write_ctx, span);
-                             }
-                           } else {
-                             ++stats_.eval_errors;
-                             *write_failed = true;
-                             KN_DEBUG << "cast " << name_
-                                      << ": transaction failed: "
-                                      << r.error().to_string();
-                           }
-                           complete();
-                         });
-            de_.kernel().clear_trace_context();
-            return;
-          }
+          de_.kernel().set_trace_context(write_ctx);
           if (options_.epoch_commit) {
             // Epoch mode: group the pass's patches per target store
             // (first-appearance order) and commit each group as one epoch
@@ -631,38 +610,25 @@ void CastIntegrator::run_pass_async(int rounds_left) {
             struct EpochGroup {
               de::ObjectStore* store = nullptr;
               std::vector<de::EpochWrite> writes;
-              std::vector<std::string> aliases;
-              std::vector<std::string> objects;
-              std::vector<std::size_t> field_counts;
-              std::vector<std::vector<LineageRef>> inputs;
+              std::vector<PatchWrite> patches;
             };
             auto groups = std::make_shared<std::vector<EpochGroup>>();
             std::map<std::string, std::size_t> group_of;
             for (std::size_t pi = 0; pi < ps.patches.size(); ++pi) {
-              auto& [key, fields] = ps.patches[pi];
-              const std::string& alias = key.first;
-              const std::string& object = key.second;
+              PatchWrite patch = patch_write(ps, pi, lineage);
               auto [it, inserted] =
-                  group_of.emplace(alias, groups->size());
+                  group_of.emplace(patch.alias, groups->size());
               if (inserted) {
                 groups->push_back(EpochGroup{});
-                groups->back().store = stores_[alias];
+                groups->back().store = stores_[patch.alias];
               }
               EpochGroup& g = (*groups)[it->second];
-              g.field_counts.push_back(
-                  fields.is_object() ? fields.as_object().size() : 0);
-              de::EpochWrite w;
-              w.key = object;
-              w.data = std::move(fields);
-              w.merge = true;
-              g.writes.push_back(std::move(w));
-              g.aliases.push_back(alias);
-              g.objects.push_back(object);
-              g.inputs.push_back(lineage ? std::move(ps.inputs[pi])
-                                         : std::vector<LineageRef>{});
+              g.writes.push_back({.key = patch.object,
+                                  .data = std::move(ps.patches[pi].second),
+                                  .merge = true});
+              g.patches.push_back(std::move(patch));
             }
             *writes_left = groups->size();
-            de_.kernel().set_trace_context(write_ctx);
             for (std::size_t gi = 0; gi < groups->size(); ++gi) {
               EpochGroup& g = (*groups)[gi];
               auto writes = std::move(g.writes);
@@ -673,58 +639,33 @@ void CastIntegrator::run_pass_async(int rounds_left) {
                    span](std::vector<Result<std::uint64_t>> results) {
                     EpochGroup& g = (*groups)[gi];
                     for (std::size_t j = 0; j < results.size(); ++j) {
-                      if (results[j].ok()) {
-                        *wrote += g.field_counts[j];
-                        stats_.fields_written += g.field_counts[j];
-                        if (lineage) {
-                          record_lineage(g.aliases[j], g.objects[j],
-                                         results[j].value(),
-                                         std::move(g.inputs[j]), write_ctx,
-                                         span);
-                        }
-                      } else {
-                        ++stats_.eval_errors;
+                      if (!book_write(results[j], g.patches[j], lineage,
+                                      write_ctx, span, *wrote)) {
                         *write_failed = true;
-                        KN_DEBUG << "cast " << name_ << ": epoch write failed: "
-                                 << results[j].error().to_string();
                       }
                     }
                     --*writes_left;
                     complete();
                   });
             }
-            de_.kernel().clear_trace_context();
-            return;
-          }
-          de_.kernel().set_trace_context(write_ctx);
-          for (std::size_t pi = 0; pi < ps.patches.size(); ++pi) {
-            auto& [key, fields] = ps.patches[pi];
-            const std::string alias = key.first;
-            const std::string object = key.second;
-            de::ObjectStore* store = stores_[alias];
-            std::size_t n = fields.is_object() ? fields.as_object().size() : 0;
-            std::vector<LineageRef> in;
-            if (lineage) in = std::move(ps.inputs[pi]);
-            store->patch(principal(), object, std::move(fields),
-                         [this, writes_left, wrote, write_failed, complete, n,
-                          alias, object, in = std::move(in), lineage, write_ctx,
-                          span](Result<std::uint64_t> r) mutable {
-                           --*writes_left;
-                           if (r.ok()) {
-                             *wrote += n;
-                             stats_.fields_written += n;
-                             if (lineage) {
-                               record_lineage(alias, object, r.value(),
-                                              std::move(in), write_ctx, span);
+          } else {
+            for (std::size_t pi = 0; pi < ps.patches.size(); ++pi) {
+              PatchWrite patch = patch_write(ps, pi, lineage);
+              de::ObjectStore* store = stores_[patch.alias];
+              const std::string object = patch.object;
+              store->patch(principal(), object,
+                           std::move(ps.patches[pi].second),
+                           [this, writes_left, wrote, write_failed, complete,
+                            patch = std::move(patch), lineage, write_ctx,
+                            span](Result<std::uint64_t> r) mutable {
+                             --*writes_left;
+                             if (!book_write(r, patch, lineage, write_ctx,
+                                             span, *wrote)) {
+                               *write_failed = true;
                              }
-                           } else {
-                             ++stats_.eval_errors;
-                             *write_failed = true;
-                             KN_DEBUG << "cast " << name_ << ": write failed: "
-                                      << r.error().to_string();
-                           }
-                           complete();
-                         });
+                             complete();
+                           });
+            }
           }
           de_.kernel().clear_trace_context();
         });
@@ -740,13 +681,7 @@ void CastIntegrator::run_pass_async(int rounds_left) {
                 [snapshot, remaining, alias_copy, finish_snapshot](
                     Result<std::vector<de::StateObject>> r) {
                   if (r.ok()) {
-                    snapshot->values[alias_copy] = build_alias_value(r.value());
-                    auto& keys = snapshot->keys[alias_copy];
-                    auto& versions = snapshot->versions[alias_copy];
-                    for (const auto& obj : r.value()) {
-                      keys.push_back(obj.key);
-                      versions[obj.key] = obj.version;
-                    }
+                    ingest(*snapshot, alias_copy, r.value());
                   } else {
                     snapshot->values[alias_copy] = Value::object();
                     snapshot->failed = true;
@@ -826,13 +761,7 @@ Status CastIntegrator::enable_pushdown() {
             close_spans(snap_span);
             return objs.error();
           }
-          snapshot.values[alias] = build_alias_value(objs.value());
-          auto& keys = snapshot.keys[alias];
-          auto& versions = snapshot.versions[alias];
-          for (const auto& obj : objs.value()) {
-            keys.push_back(obj.key);
-            versions[obj.key] = obj.version;
-          }
+          ingest(snapshot, alias, objs.value());
         }
         std::uint64_t compute_span = 0;
         if (self->tracer_ != nullptr) {
@@ -858,23 +787,17 @@ Status CastIntegrator::enable_pushdown() {
         self->de_.kernel().set_trace_context(write_ctx);
         std::size_t written = 0;
         for (std::size_t pi = 0; pi < ps.patches.size(); ++pi) {
-          auto& [key, fields] = ps.patches[pi];
-          const auto& [alias, object] = key;
-          auto it = alias_to_store.find(alias);
+          auto it = alias_to_store.find(ps.patches[pi].first.first);
           if (it == alias_to_store.end()) continue;
-          std::size_t n = fields.is_object() ? fields.as_object().size() : 0;
-          auto patched = ctx.patch(it->second, object, std::move(fields));
+          PatchWrite patch = patch_write(ps, pi, lineage);
+          auto patched = ctx.patch(it->second, patch.object,
+                                   std::move(ps.patches[pi].second));
           if (!patched.ok()) {
             self->de_.kernel().set_trace_context(in_ctx);
             close_spans(write_span);
             return patched.error();
           }
-          written += n;
-          self->stats_.fields_written += n;
-          if (lineage) {
-            self->record_lineage(alias, object, patched.value(),
-                                 std::move(ps.inputs[pi]), write_ctx, span);
-          }
+          self->book_write(patched, patch, lineage, write_ctx, span, written);
         }
         self->de_.kernel().set_trace_context(in_ctx);
         close_spans(write_span);

@@ -58,30 +58,19 @@ class CastIntegrator : public Integrator {
     bool strict = false;
     /// Polling instead of watches; 0 = watch-driven.
     sim::SimTime poll_interval = 0;
-    /// Commit each pass's writes as one atomic transaction on the DE:
-    /// observers never see a partially-applied exchange, and multi-store
-    /// writes cost one round trip instead of one per store (§5
-    /// transactions).
-    bool atomic_writes = false;
-    /// Coalesce bursts of watch events: instead of a pass per event, wait
-    /// this long after the first event and run one pass for the burst
-    /// (trades propagation latency for fewer snapshot/evaluate cycles —
-    /// §3.3 "consolidate the state processing logic", applied in time).
-    sim::SimTime debounce = 0;
-    /// Server-side watch coalescing (tentpole of the hot-path batching
-    /// work): when > 0, watches register via ObjectStore::watch_batch with
-    /// this window — the DE buffers a burst of commits and delivers one
-    /// WatchBatch, and the integrator runs one pass per batch. Unlike
-    /// `debounce` (client-side: every event still crosses the wire), the
-    /// coalescing happens inside the DE, so one notification is delivered
-    /// per window regardless of burst size.
+    /// Server-side watch coalescing: when > 0, watches register as batched
+    /// subscriptions with this window (unless the spec's `Watch:` clause
+    /// sets its own) — the DE buffers a burst of commits and delivers one
+    /// WatchBatch, and the integrator runs one pass per batch. This is how
+    /// bursts coalesce (§3.3 "consolidate the state processing logic",
+    /// applied in time): one notification per window regardless of burst
+    /// size.
     sim::SimTime batch_window = 0;
     /// Commit each pass's writes through the DE's epoch pipeline
     /// (ObjectStore::put_epoch): the pass's patches are grouped per target
     /// store and committed as one epoch each — one write round trip per
     /// store instead of one per patch, with the commit work running
-    /// shard-parallel behind a deterministic merge. Unlike atomic_writes
-    /// (which takes precedence when both are set), an epoch is not
+    /// shard-parallel behind a deterministic merge. An epoch is not
     /// all-or-nothing: each patch succeeds or fails individually, exactly
     /// like the per-patch path.
     bool epoch_commit = false;
@@ -161,6 +150,28 @@ class CastIntegrator : public Integrator {
     bool failed = false;  // at least one alias list errored
   };
   PatchSet evaluate(const Snapshot& snapshot);
+  /// Adds one alias's listed objects to a snapshot (expression value, key
+  /// list, per-key versions) — shared by the client pass and the UDF.
+  static void ingest(Snapshot& snapshot, const std::string& alias,
+                     const std::vector<de::StateObject>& objects);
+  /// One patch of a pass on its way to the DE: its target, how many
+  /// fields it sets, and (lineage on) the snapshot records it read.
+  struct PatchWrite {
+    std::string alias;
+    std::string object;
+    std::size_t fields = 0;
+    std::vector<LineageRef> inputs;
+  };
+  /// The bookkeeping of patch `pi` (its inputs move out of `ps`; its
+  /// fields stay for the caller to send).
+  static PatchWrite patch_write(PatchSet& ps, std::size_t pi, bool lineage);
+  /// Books one patch's write result the same way on every write path: a
+  /// committed patch adds its field count to `wrote` and the stats and
+  /// records its lineage; a failed one counts an eval error. Returns
+  /// whether the patch committed.
+  bool book_write(const common::Result<std::uint64_t>& r, PatchWrite& patch,
+                  bool lineage, const TraceContext& ctx, std::uint64_t span,
+                  std::size_t& wrote);
   /// Resolves a mapping instance's refs against a snapshot into the
   /// (store, key, version, payload) records it read. Conservative: a ref
   /// whose key can't be pinned statically contributes every key of its
@@ -198,7 +209,6 @@ class CastIntegrator : public Integrator {
   bool pushdown_ = false;
   bool pass_in_flight_ = false;
   bool rerun_requested_ = false;
-  bool debounce_pending_ = false;
   int pass_attempt_ = 0;  // consecutive failed passes (retry bookkeeping)
   sim::SimTime pass_first_attempt_ = 0;
   std::string udf_name_;

@@ -338,6 +338,32 @@ void SyncIntegrator::record_route_lineage(const SyncRoute& route,
 }
 
 Result<std::size_t> SyncIntegrator::run_round_sync() {
+  if (round_running_) {
+    // A round's blocking queries step the clock, so a push, tick or retry
+    // can ask for another round mid-round. Running it nested would sync
+    // the same cursor window twice and let the outer round rewind the
+    // cursor on return; instead it runs once, after this one.
+    round_rerun_ = true;
+    return std::size_t{0};
+  }
+  round_running_ = true;
+  auto result = run_routes();
+  round_running_ = false;
+  if (round_rerun_) {
+    round_rerun_ = false;
+    de_.clock().schedule_after(0, [this]() {
+      if (!running_) return;
+      auto moved = run_round_sync();
+      if (!moved.ok()) {
+        KN_WARN << "sync " << name_ << ": deferred round failed: "
+                << moved.error().to_string();
+      }
+    });
+  }
+  return result;
+}
+
+Result<std::size_t> SyncIntegrator::run_routes() {
   ++stats_.rounds;
   std::size_t total = 0;
   std::optional<common::Error> first_error;

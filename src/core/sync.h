@@ -94,7 +94,9 @@ class SyncIntegrator : public Integrator {
   common::Status reconfigure(const common::Value& config) override;
 
   /// Runs one sync round over all routes synchronously. Returns records
-  /// moved.
+  /// moved. Rounds never nest: a call made while a round runs (its
+  /// blocking queries step the clock) returns 0 and schedules one round
+  /// to run right after the current one.
   common::Result<std::size_t> run_round_sync();
 
   void set_consolidation(bool on) { options_.consolidate = on; }
@@ -103,6 +105,8 @@ class SyncIntegrator : public Integrator {
   [[nodiscard]] const std::vector<SyncRoute>& routes() const { return routes_; }
 
  private:
+  /// One round's body: every route once, in order.
+  common::Result<std::size_t> run_routes();
   common::Result<std::size_t> run_route(SyncRoute& route);
   /// Records lineage for the records a route just appended: `raw` is the
   /// consumed source window, `appended` the target seqs of this append.
@@ -141,6 +145,8 @@ class SyncIntegrator : public Integrator {
   std::vector<std::pair<de::LogPool*, std::uint64_t>> subscriptions_;
   bool running_ = false;
   bool round_pending_ = false;  // push: one scheduled round per burst
+  bool round_running_ = false;  // run_round_sync is not reentrant
+  bool round_rerun_ = false;    // a round was requested mid-round
   int round_attempt_ = 0;  // consecutive failed rounds (retry bookkeeping)
   sim::SimTime round_first_attempt_ = 0;
   sim::Rng retry_rng_{0x53594e43};

@@ -66,132 +66,46 @@ void ObjectStore::get_shared(
 
 void ObjectStore::put(const std::string& principal, const std::string& key,
                       Value data, PutCallback done) {
-  sim::SimTime rt = de_.profile_.write_rt.sample(de_.kernel_.rng());
-  // The ambient trace context is captured synchronously at the client
-  // call (the writer's causal moment), not at the commit's scheduled
-  // execution — by then the writer has cleared it.
-  core::TraceContext ctx = de_.kernel_.trace_context();
-  de_.clock().schedule_after(
-      rt, [this, principal, key, ctx, data = std::move(data),
-           done = std::move(done)]() mutable {
-        if (!de_.kernel_.guard_available()) {
-          done(Error::unavailable("object: de unavailable (crashed)"));
-          return;
-        }
-        ++de_.stats_.writes;
-        Decision d = de_.check_access(principal, name_, key, Verb::kUpdate);
-        if (!d.allowed) {
-          ++de_.stats_.permission_denials;
-          done(Error::permission_denied("object: " + principal +
-                                        " cannot write " + name_ + "/" + key));
-          return;
-        }
-        if (auto status = Rbac::validate_write(data, d.fields); !status.ok()) {
-          ++de_.stats_.permission_denials;
-          done(status.error());
-          return;
-        }
-        de_.commit_ctx_ = ctx;
-        auto committed = de_.commit_put(*this, key, std::move(data),
-                                        /*merge=*/false, std::nullopt,
-                                        principal);
-        de_.commit_ctx_ = {};
-        done(std::move(committed));
-      });
+  submit(principal, {.key = key, .data = std::move(data)}, std::move(done));
 }
 
 void ObjectStore::put_versioned(const std::string& principal,
                                 const std::string& key, Value data,
                                 std::uint64_t expected_version,
                                 PutCallback done) {
-  sim::SimTime rt = de_.profile_.write_rt.sample(de_.kernel_.rng());
-  core::TraceContext ctx = de_.kernel_.trace_context();
-  de_.clock().schedule_after(
-      rt, [this, principal, key, ctx, data = std::move(data), expected_version,
-           done = std::move(done)]() mutable {
-        if (!de_.kernel_.guard_available()) {
-          done(Error::unavailable("object: de unavailable (crashed)"));
-          return;
-        }
-        ++de_.stats_.writes;
-        Decision d = de_.check_access(principal, name_, key, Verb::kUpdate);
-        if (!d.allowed) {
-          ++de_.stats_.permission_denials;
-          done(Error::permission_denied("object: " + principal +
-                                        " cannot write " + name_ + "/" + key));
-          return;
-        }
-        if (auto status = Rbac::validate_write(data, d.fields); !status.ok()) {
-          ++de_.stats_.permission_denials;
-          done(status.error());
-          return;
-        }
-        de_.commit_ctx_ = ctx;
-        auto committed = de_.commit_put(*this, key, std::move(data),
-                                        /*merge=*/false, expected_version,
-                                        principal);
-        de_.commit_ctx_ = {};
-        done(std::move(committed));
-      });
+  submit(principal,
+         {.key = key, .data = std::move(data),
+          .expected_version = expected_version},
+         std::move(done));
 }
 
 void ObjectStore::patch(const std::string& principal, const std::string& key,
                         Value fields, PutCallback done) {
-  sim::SimTime rt = de_.profile_.write_rt.sample(de_.kernel_.rng());
-  core::TraceContext ctx = de_.kernel_.trace_context();
-  de_.clock().schedule_after(
-      rt, [this, principal, key, ctx, fields = std::move(fields),
-           done = std::move(done)]() mutable {
-        if (!de_.kernel_.guard_available()) {
-          done(Error::unavailable("object: de unavailable (crashed)"));
-          return;
-        }
-        ++de_.stats_.writes;
-        Decision d = de_.check_access(principal, name_, key, Verb::kUpdate);
-        if (!d.allowed) {
-          ++de_.stats_.permission_denials;
-          done(Error::permission_denied("object: " + principal +
-                                        " cannot patch " + name_ + "/" + key));
-          return;
-        }
-        if (auto status = Rbac::validate_write(fields, d.fields);
-            !status.ok()) {
-          ++de_.stats_.permission_denials;
-          done(status.error());
-          return;
-        }
-        de_.commit_ctx_ = ctx;
-        auto committed = de_.commit_put(*this, key, std::move(fields),
-                                        /*merge=*/true, std::nullopt,
-                                        principal);
-        de_.commit_ctx_ = {};
-        done(std::move(committed));
-      });
+  submit(principal, {.key = key, .data = std::move(fields), .merge = true},
+         std::move(done));
 }
 
 void ObjectStore::remove(const std::string& principal, const std::string& key,
                          DelCallback done) {
+  submit(principal, {.key = key, .remove = true},
+         [done = std::move(done)](Result<std::uint64_t> r) {
+           done(r.ok() ? Status::success() : Status(r.error()));
+         });
+}
+
+void ObjectStore::submit(const std::string& principal, EpochWrite write,
+                         PutCallback done) {
   sim::SimTime rt = de_.profile_.write_rt.sample(de_.kernel_.rng());
+  // The ambient trace context is captured synchronously at the client
+  // call (the writer's causal moment), not at the commit's scheduled
+  // execution — by then the writer has cleared it.
   core::TraceContext ctx = de_.kernel_.trace_context();
-  de_.clock().schedule_after(rt, [this, principal, key, ctx,
-                                  done = std::move(done)] {
-    if (!de_.kernel_.guard_available()) {
-      done(Error::unavailable("object: de unavailable (crashed)"));
-      return;
-    }
-    ++de_.stats_.deletes;
-    Decision d = de_.check_access(principal, name_, key, Verb::kDelete);
-    if (!d.allowed) {
-      ++de_.stats_.permission_denials;
-      done(Error::permission_denied("object: " + principal +
-                                    " cannot delete " + name_ + "/" + key));
-      return;
-    }
-    de_.commit_ctx_ = ctx;
-    auto committed = de_.commit_delete(*this, key);
-    de_.commit_ctx_ = {};
-    done(std::move(committed));
-  });
+  de_.clock().schedule_after(
+      rt, [this, principal, ctx, write = std::move(write),
+           done = std::move(done)]() mutable {
+        done(de_.submit_write(ObjectDe::WriteOrigin::kClient, *this,
+                              principal, std::move(write), ctx));
+      });
 }
 
 void ObjectStore::list(const std::string& principal, const std::string& prefix,
@@ -448,48 +362,24 @@ Result<StateObject> UdfContext::get(const std::string& store,
 
 Result<std::uint64_t> UdfContext::put(const std::string& store,
                                       const std::string& key, Value data) {
-  de_.clock().advance(de_.profile_.engine_write.sample(de_.kernel_.rng()));
-  ++de_.stats_.engine_ops;
-  ObjectStore* s = de_.store(store);
-  if (s == nullptr) {
-    return Error::not_found("udf: unknown store '" + store + "'");
-  }
-  Decision d =
-      de_.check_access(principal_, store, key, Verb::kUpdate);
-  if (!d.allowed) {
-    ++de_.stats_.permission_denials;
-    return Error::permission_denied("udf: " + principal_ + " cannot write " +
-                                    store + "/" + key);
-  }
-  KN_TRY(Rbac::validate_write(data, d.fields));
-  de_.commit_ctx_ = de_.kernel_.trace_context();
-  auto committed = de_.commit_put(*s, key, std::move(data), /*merge=*/false,
-                                  std::nullopt, principal_);
-  de_.commit_ctx_ = {};
-  return committed;
+  return write(store, {.key = key, .data = std::move(data)});
 }
 
 Result<std::uint64_t> UdfContext::patch(const std::string& store,
                                         const std::string& key, Value fields) {
+  return write(store, {.key = key, .data = std::move(fields), .merge = true});
+}
+
+Result<std::uint64_t> UdfContext::write(const std::string& store,
+                                        EpochWrite write) {
   de_.clock().advance(de_.profile_.engine_write.sample(de_.kernel_.rng()));
   ++de_.stats_.engine_ops;
   ObjectStore* s = de_.store(store);
   if (s == nullptr) {
     return Error::not_found("udf: unknown store '" + store + "'");
   }
-  Decision d =
-      de_.check_access(principal_, store, key, Verb::kUpdate);
-  if (!d.allowed) {
-    ++de_.stats_.permission_denials;
-    return Error::permission_denied("udf: " + principal_ + " cannot patch " +
-                                    store + "/" + key);
-  }
-  KN_TRY(Rbac::validate_write(fields, d.fields));
-  de_.commit_ctx_ = de_.kernel_.trace_context();
-  auto committed = de_.commit_put(*s, key, std::move(fields), /*merge=*/true,
-                                  std::nullopt, principal_);
-  de_.commit_ctx_ = {};
-  return committed;
+  return de_.submit_write(ObjectDe::WriteOrigin::kUdf, *s, principal_,
+                          std::move(write), de_.kernel_.trace_context());
 }
 
 Result<std::vector<StateObject>> UdfContext::list(const std::string& store,
@@ -679,8 +569,8 @@ void ObjectDe::transact(const std::string& principal, std::vector<TxnOp> ops,
     std::uint64_t last_version = 0;
     for (auto& op : ops) {
       ObjectStore* store = this->store(op.store);
-      auto committed = commit_put(*store, op.key, std::move(op.data), op.merge,
-                                  std::nullopt);
+      auto committed = commit_write(
+          *store, {.key = op.key, .data = std::move(op.data), .merge = op.merge});
       if (committed.ok()) last_version = committed.value();
     }
     if (persist_ != nullptr && !txn_records_.empty()) {
@@ -753,10 +643,9 @@ void ObjectDe::restart() {
   for (const auto& entry : wal) {
     ObjectStore& store = create_store(entry.store);
     if (entry.data == nullptr) {
-      (void)commit_delete(store, entry.key);
+      (void)commit_write(store, {.key = entry.key, .remove = true});
     } else {
-      (void)commit_put(store, entry.key, *entry.data, /*merge=*/false,
-                       std::nullopt);
+      (void)commit_write(store, {.key = entry.key, .data = *entry.data});
     }
   }
   recovering_ = saved;
@@ -855,70 +744,122 @@ void ObjectDe::maybe_auto_snapshot() {
   (void)snapshot_now();
 }
 
-Result<std::uint64_t> ObjectDe::commit_put(
-    ObjectStore& store, const std::string& key, Value data, bool merge,
-    std::optional<std::uint64_t> expected, const std::string& principal) {
+Result<std::uint64_t> ObjectDe::submit_write(WriteOrigin origin,
+                                             ObjectStore& store,
+                                             const std::string& principal,
+                                             EpochWrite write,
+                                             const core::TraceContext& ctx) {
+  const bool client = origin == WriteOrigin::kClient;
+  if (client) {
+    if (!kernel_.guard_available()) {
+      return Error::unavailable("object: de unavailable (crashed)");
+    }
+    ++(write.remove ? stats_.deletes : stats_.writes);
+  }
+  Decision d = check_access(principal, store.name_, write.key,
+                            write.remove ? Verb::kDelete : Verb::kUpdate);
+  if (!d.allowed) {
+    ++stats_.permission_denials;
+    const char* verb =
+        write.remove ? "delete" : (write.merge ? "patch" : "write");
+    return Error::permission_denied(std::string(client ? "object: " : "udf: ") +
+                                    principal + " cannot " + verb + " " +
+                                    store.name_ + "/" + write.key);
+  }
+  if (!write.remove) {
+    if (auto status = Rbac::validate_write(write.data, d.fields);
+        !status.ok()) {
+      if (client) ++stats_.permission_denials;
+      return status.error();
+    }
+  }
+  commit_ctx_ = ctx;
+  auto committed = commit_write(store, std::move(write), principal);
+  commit_ctx_ = {};
+  return committed;
+}
+
+Result<std::uint64_t> ObjectDe::commit_write(ObjectStore& store,
+                                             EpochWrite write,
+                                             const std::string& principal) {
+  const std::string& key = write.key;
   StateObject* existing = store.objects_.find(key);
-  bool existed = existing != nullptr;
-  if (expected.has_value()) {
-    std::uint64_t current = existed ? existing->version : 0;
-    if (current != *expected) {
-      ++stats_.version_conflicts;
-      return Error::failed_precondition(
-          "object: version conflict on " + store.name_ + "/" + key +
-          " (expected " + std::to_string(*expected) + ", have " +
-          std::to_string(current) + ")");
-    }
-  }
-
-  Value final_data;
-  if (merge && existed && existing->data && existing->data->is_object() &&
-      data.is_object()) {
-    final_data = *existing->data;
-    for (const auto& [k, v] : data.as_object()) {
-      final_data.set(k, v);
-    }
-  } else {
-    final_data = std::move(data);
-  }
-
-  // Version-chain lineage: snapshot the previous version before the
-  // overwrite invalidates `existing`.
-  const bool lineage = kernel_.provenance().enabled() && !recovering_;
-  core::LineageRef prev;
-  if (lineage && existed) {
-    prev = {store.name_, key, existing->version, existing->data};
-  }
-
+  const bool existed = existing != nullptr;
   StateObject obj;
-  obj.key = key;
-  obj.data = std::make_shared<const Value>(std::move(final_data));
-  obj.version = kernel_.next_revision();
-  obj.created_at = existed ? existing->created_at : clock().now();
-  obj.updated_at = clock().now();
-  if (existed) {
-    *existing = obj;  // in place: the find above already walked the shard
+  WatchEventType type;
+  if (write.remove) {
+    if (!existed) {
+      return Error::not_found("object: " + store.name_ + "/" + key +
+                              " not found");
+    }
+    obj = *existing;
+    store.objects_.erase(key);
+    type = WatchEventType::kDeleted;
   } else {
-    store.objects_[key] = obj;
-  }
+    if (write.expected_version.has_value()) {
+      std::uint64_t current = existed ? existing->version : 0;
+      if (current != *write.expected_version) {
+        ++stats_.version_conflicts;
+        return Error::failed_precondition(
+            "object: version conflict on " + store.name_ + "/" + key +
+            " (expected " + std::to_string(*write.expected_version) +
+            ", have " + std::to_string(current) + ")");
+      }
+    }
 
-  if (lineage) {
-    core::LineageRecord rec;
-    rec.output = {store.name_, key, obj.version, obj.data};
-    if (existed) rec.inputs.push_back(std::move(prev));
-    rec.op = "write:" + principal;
-    rec.stage = "S";  // service-side write (richer integrator records for
-                      // the same version are recorded after the commit)
-    rec.trace_id = commit_ctx_.trace_id;
-    rec.time = clock().now();
-    kernel_.provenance().record(std::move(rec));
+    Value final_data;
+    if (write.merge && existed && existing->data &&
+        existing->data->is_object() && write.data.is_object()) {
+      final_data = *existing->data;
+      for (const auto& [k, v] : write.data.as_object()) {
+        final_data.set(k, v);
+      }
+    } else {
+      final_data = std::move(write.data);
+    }
+
+    // Version-chain lineage: snapshot the previous version before the
+    // overwrite invalidates `existing`.
+    const bool lineage = kernel_.provenance().enabled() && !recovering_;
+    core::LineageRef prev;
+    if (lineage && existed) {
+      prev = {store.name_, key, existing->version, existing->data};
+    }
+
+    obj.key = key;
+    obj.data = std::make_shared<const Value>(std::move(final_data));
+    obj.version = kernel_.next_revision();
+    obj.created_at = existed ? existing->created_at : clock().now();
+    obj.updated_at = clock().now();
+    if (existed) {
+      *existing = obj;  // in place: the find above already walked the shard
+    } else {
+      store.objects_[key] = obj;
+    }
+    type = existed ? WatchEventType::kModified : WatchEventType::kAdded;
+
+    if (lineage) {
+      core::LineageRecord rec;
+      rec.output = {store.name_, key, obj.version, obj.data};
+      if (existed) rec.inputs.push_back(std::move(prev));
+      rec.op = "write:" + principal;
+      rec.stage = "S";  // service-side write (richer integrator records for
+                        // the same version are recorded after the commit)
+      rec.trace_id = commit_ctx_.trace_id;
+      rec.time = clock().now();
+      kernel_.provenance().record(std::move(rec));
+    }
   }
 
   if (persist_ != nullptr) {
     if (!recovering_) {
       std::string rec;
-      persist::encode_put(rec, store.name_, key, obj.version, obj.created_at,
-                          obj.updated_at, *obj.data);
+      if (write.remove) {
+        persist::encode_delete(rec, store.name_, key);
+      } else {
+        persist::encode_put(rec, store.name_, key, obj.version,
+                            obj.created_at, obj.updated_at, *obj.data);
+      }
       if (defer_notifications_) {
         // Transaction: stage; transact() flushes every staged record as
         // one atomic frame before the notification drain.
@@ -939,54 +880,16 @@ Result<std::uint64_t> ObjectDe::commit_put(
       }
     }
   } else if (profile_.durable) {
-    wal_.push_back(WalEntry{store.name_, key, obj.data});
+    wal_.push_back(
+        WalEntry{store.name_, key, write.remove ? nullptr : obj.data});
   }
 
   if (!recovering_) {
-    fire_watches(store.name_,
-                 existed ? WatchEventType::kModified : WatchEventType::kAdded,
-                 obj);
-    fire_triggers(store.name_,
-                  existed ? WatchEventType::kModified : WatchEventType::kAdded,
-                  obj);
+    fire_watches(store.name_, type, obj);
+    fire_triggers(store.name_, type, obj);
     if (!defer_notifications_) maybe_auto_snapshot();
   }
-  return obj.version;
-}
-
-Status ObjectDe::commit_delete(ObjectStore& store, const std::string& key) {
-  StateObject* existing = store.objects_.find(key);
-  if (existing == nullptr) {
-    return Error::not_found("object: " + store.name_ + "/" + key +
-                            " not found");
-  }
-  StateObject obj = *existing;
-  store.objects_.erase(key);
-  if (persist_ != nullptr) {
-    if (!recovering_) {
-      std::string rec;
-      persist::encode_delete(rec, store.name_, key);
-      if (defer_notifications_) {
-        txn_records_.push_back(std::move(rec));
-      } else {
-        auto st = persist_->append_batch({rec}, 1,
-                                         kernel_.peek_next_revision(),
-                                         kernel_.commit_seq() + 1);
-        if (!st.ok()) {
-          kernel_.crash();
-          return st.error();
-        }
-      }
-    }
-  } else if (profile_.durable) {
-    wal_.push_back(WalEntry{store.name_, key, nullptr});
-  }
-  if (!recovering_) {
-    fire_watches(store.name_, WatchEventType::kDeleted, obj);
-    fire_triggers(store.name_, WatchEventType::kDeleted, obj);
-    if (!defer_notifications_) maybe_auto_snapshot();
-  }
-  return Status::success();
+  return write.remove ? std::uint64_t{0} : obj.version;
 }
 
 // ---------------------------------------------------------------------------

@@ -112,16 +112,17 @@ struct ObjectDeStats {
 
 class ObjectDe;
 
-/// One operation inside an epoch commit (ObjectStore::put_epoch): an
-/// upsert (merge=false), a patch (merge=true), or a delete (remove=true;
-/// `data` ignored). `expected_version` adds the optimistic-concurrency
-/// check of put_versioned.
+/// One write: an upsert (merge=false), a patch (merge=true), or a delete
+/// (remove=true; `data` ignored). `expected_version` adds the optimistic-
+/// concurrency check of put_versioned. A put_epoch batch is a vector of
+/// these; the per-op entry points (put, put_versioned, patch, remove, and
+/// the UDF engine writes) each describe their op as one, too.
 struct EpochWrite {
   std::string key;
-  common::Value data;
+  common::Value data{};
   bool merge = false;
   bool remove = false;
-  std::optional<std::uint64_t> expected_version;
+  std::optional<std::uint64_t> expected_version{};
 };
 
 /// A named data store (namespace) on an Object DE. All operations are
@@ -272,6 +273,11 @@ class ObjectStore {
   friend class ObjectDe;
   friend class UdfContext;
 
+  /// The per-op client write path behind put, put_versioned, patch and
+  /// remove: charges one write round trip, captures the writer's trace
+  /// context, then admits and commits through ObjectDe::submit_write.
+  void submit(const std::string& principal, EpochWrite write, PutCallback done);
+
   ObjectStore(ObjectDe& de, std::string name, std::size_t shards)
       : de_(de), name_(std::move(name)), objects_(shards) {}
 
@@ -302,6 +308,11 @@ class UdfContext {
 
  private:
   friend class ObjectDe;
+  /// The engine-level write path behind put and patch: charges engine
+  /// latency, resolves the store, then admits and commits through
+  /// ObjectDe::submit_write.
+  common::Result<std::uint64_t> write(const std::string& store,
+                                      EpochWrite write);
   UdfContext(ObjectDe& de, std::string principal)
       : de_(de), principal_(std::move(principal)) {}
   ObjectDe& de_;
@@ -524,21 +535,34 @@ class ObjectDe {
     // Shared snapshot of the committed payload (null => delete). Committed
     // values are immutable behind shared_ptr<const Value>, so the WAL can
     // reference them zero-copy instead of serializing per commit; replay
-    // copies the value back through commit_put.
+    // copies the value back through commit_write.
     std::shared_ptr<const common::Value> data;
   };
 
-  /// Commits a write at engine level (no latency charging) and fires
-  /// watches/triggers. Returns the new version. When the provenance ring
-  /// is enabled, every commit also records a version-chain lineage entry
-  /// (op "write:<principal>", input = the key's previous version) so
-  /// lineage walks continue through service writes; integrator records
-  /// for the same version are recorded later and win reverse lookups.
-  common::Result<std::uint64_t> commit_put(
-      ObjectStore& store, const std::string& key, common::Value data,
-      bool merge, std::optional<std::uint64_t> expected,
+  /// Who issued a per-op write. Client ops are gated on availability and
+  /// counted as writes/deletes; UDF ops run inside an already-admitted UDF
+  /// call, and a field-rule rejection there is not counted as a denial.
+  /// The origin also prefixes denial messages ("object: " / "udf: ").
+  enum class WriteOrigin { kClient, kUdf };
+  /// The single admit step of every per-op write, then its commit: the
+  /// availability guard (client ops), RBAC, the field rules (not for
+  /// deletes), and commit_write under the writer's trace context `ctx`.
+  common::Result<std::uint64_t> submit_write(WriteOrigin origin,
+                                             ObjectStore& store,
+                                             const std::string& principal,
+                                             EpochWrite write,
+                                             const core::TraceContext& ctx);
+  /// Commits one write at engine level (no latency charging, no access
+  /// check), journals it and fires watches/triggers. The client path, UDFs,
+  /// transact and WAL replay all commit through here. Returns the new
+  /// version (0 for a delete). When the provenance ring is enabled, every
+  /// put/patch also records a version-chain lineage entry (op
+  /// "write:<principal>", input = the key's previous version) so lineage
+  /// walks continue through service writes; integrator records for the
+  /// same version are recorded later and win reverse lookups.
+  common::Result<std::uint64_t> commit_write(
+      ObjectStore& store, EpochWrite write,
       const std::string& principal = "service");
-  common::Status commit_delete(ObjectStore& store, const std::string& key);
 
   /// Per-op scratch the epoch pipeline's parallel phase fills and the
   /// serial merge phase drains. Everything here is owned by exactly one
@@ -688,7 +712,7 @@ class ObjectDe {
   std::vector<PendingNotification> pending_notifications_;
   /// Causal context of the commit currently executing (captured from the
   /// kernel's ambient context at the client call, installed around
-  /// commit_put/commit_delete so fire_watches can stamp it onto events).
+  /// commit_write so fire_watches can stamp it onto events).
   core::TraceContext commit_ctx_;
   std::function<bool()> epoch_fault_hook_;
   ObjectDeStats stats_;

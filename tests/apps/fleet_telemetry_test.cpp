@@ -139,6 +139,86 @@ TEST(FleetTelemetry, PushModeRunsRoundsBehindAppends) {
   EXPECT_GT(app.alert_count(), 0u);
 }
 
+// Push rounds under sustained load. A push round's blocking query steps the
+// clock, so appends landing meanwhile request another round. That round
+// must wait for the running one rather than run nested inside it: a nested
+// round advanced the route cursor, the outer round then rewound it to its
+// own older snapshot, and every later round re-read the history (n(n+1)/2
+// rollup rows for n readings).
+TEST(FleetTelemetry, PushRoundsUnderLoadNeverReReadHistory) {
+  core::Runtime rt;
+  apps::FleetTelemetryOptions options;
+  options.push = true;
+  options.device_space = 4;  // rows of one (device, window) merge across rounds
+  auto app = apps::build_fleet_telemetry_app(rt, options);
+  ASSERT_NE(app.sync, nullptr);
+
+  const std::uint64_t kReadings = 200;
+  const sim::SimTime kGap = sim::kSecond / 400;  // 400 readings/s, virtual
+  std::map<std::pair<std::string, std::int64_t>, Expected> expected;
+  std::map<std::string, std::uint64_t> cursors;
+  bool rewound = false;
+  auto watch_cursors = [&app, &cursors, &rewound] {
+    for (const auto& route : app.sync->routes()) {
+      std::uint64_t& seen = cursors[route.name];
+      if (route.cursor < seen) rewound = true;
+      seen = route.cursor;
+    }
+  };
+  const sim::SimTime start = rt.clock().now();
+  for (std::uint64_t i = 0; i < kReadings; ++i) {
+    Value r = app.reading_for(i);
+    const std::int64_t ts =
+        static_cast<std::int64_t>(r.get("ts")->as_number());
+    auto& cell = expected[{r.get("device")->as_string(), (ts / 60) * 60}];
+    ++cell.n;
+    cell.speed_sum += r.get("speed")->as_number();
+    cell.max_temp = std::max(cell.max_temp, r.get("temp")->as_number());
+    rt.clock().schedule_at(start + static_cast<sim::SimTime>(i) * kGap,
+                           [&app, i] { app.emit_reading(i); });
+  }
+  // Sample the cursors far more often than readings arrive: rounds step
+  // the clock, so samples also land inside a running round.
+  const sim::SimTime end = start + static_cast<sim::SimTime>(kReadings) * kGap +
+                           100 * sim::kMillisecond;
+  for (sim::SimTime t = start; t < end; t += 20) {
+    rt.clock().schedule_at(t, watch_cursors);
+  }
+  app.settle();
+  watch_cursors();
+  EXPECT_FALSE(rewound) << "a route cursor moved backwards";
+  EXPECT_EQ(cursors["readings-to-rollup"], app.readings->latest_seq());
+
+  // Each round aggregates its own mini-batch, so one (device, window) may
+  // span several rows; merged, they must equal the reference exactly.
+  std::map<std::pair<std::string, std::int64_t>, Expected> merged;
+  for (const auto& rec : app.rollup->records_after(0)) {
+    ASSERT_TRUE(rec.data);
+    const Value& row = *rec.data;
+    const auto wstart =
+        static_cast<std::int64_t>(row.get("wstart")->as_number());
+    auto& cell = merged[{row.get("device")->as_string(), wstart}];
+    const auto n = static_cast<std::int64_t>(row.get("n")->as_number());
+    cell.n += n;
+    cell.speed_sum += row.get("avg_speed")->as_number() * static_cast<double>(n);
+    cell.max_temp = std::max(cell.max_temp, row.get("max_temp")->as_number());
+  }
+  ASSERT_EQ(merged.size(), expected.size());
+  std::int64_t total = 0;
+  for (const auto& [cell_key, want] : expected) {
+    const auto& [device, wstart] = cell_key;
+    auto it = merged.find(cell_key);
+    ASSERT_NE(it, merged.end()) << device << " @ " << wstart;
+    EXPECT_EQ(it->second.n, want.n) << device << " @ " << wstart;
+    EXPECT_NEAR(it->second.speed_sum, want.speed_sum, 1e-6)
+        << device << " @ " << wstart;
+    EXPECT_DOUBLE_EQ(it->second.max_temp, want.max_temp)
+        << device << " @ " << wstart;
+    total += it->second.n;
+  }
+  EXPECT_EQ(total, static_cast<std::int64_t>(kReadings));
+}
+
 // Sync lineage: every alert record replays byte-for-byte from its single
 // attributed source reading through the route's own pipeline — the
 // record-local window/filter/put/cut chain keeps 1:1 attribution.

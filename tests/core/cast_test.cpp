@@ -218,24 +218,26 @@ TEST_F(CastTest, PollingModeRunsOnInterval) {
   cast->stop();
 }
 
-TEST_F(CastTest, DebounceCoalescesBursts) {
-  // Without debounce, a burst of N writes triggers ~N passes; with it, the
-  // burst collapses into one (plus the initial pass at start).
-  auto run_burst = [this](sim::SimTime debounce) -> std::uint64_t {
+TEST_F(CastTest, BatchWindowCoalescesBursts) {
+  // Without a window, a burst of N writes triggers ~N passes; with a
+  // server-side batch window, the DE delivers the burst as one WatchBatch
+  // and it collapses into one pass (plus the initial pass at start and the
+  // pass that observes the integrator's own write).
+  auto run_burst = [](sim::SimTime window) -> std::uint64_t {
     sim::VirtualClock clock;
     de::ObjectDe de(clock, de::ObjectDeProfile::redis());
     de::ObjectStore& src = de.create_store("src-store");
     de::ObjectStore& dst = de.create_store("dst-store");
     auto dxg = Dxg::parse(kSimpleSpec);
     CastIntegrator::Options options;
-    options.debounce = debounce;
-    CastIntegrator cast("db", de, dxg.take(), {{"A", &src}, {"B", &dst}},
+    options.batch_window = window;
+    CastIntegrator cast("bw", de, dxg.take(), {{"A", &src}, {"B", &dst}},
                         options);
     EXPECT_TRUE(cast.start().ok());
     clock.run_all();
     std::uint64_t before = cast.stats().passes;
     // Burst: 10 writes spaced 2 ms apart (each would trigger its own pass
-    // without debouncing; a 50 ms window swallows the whole burst).
+    // without a window; a 50 ms window swallows the whole burst).
     for (int i = 0; i < 10; ++i) {
       clock.schedule_after(sim::from_ms(2.0 * i), [&src, i]() {
         src.put("svc", "state", Value::object({{"value", i}}),
@@ -245,8 +247,8 @@ TEST_F(CastTest, DebounceCoalescesBursts) {
     clock.run_all();
     std::uint64_t passes = cast.stats().passes - before;
     // Either way the last write propagates.
-    EXPECT_EQ(dst.peek("state")->data->get("copied")->as_int(),
-              src.peek("state")->data->get("value")->as_int());
+    EXPECT_EQ(src.peek("state")->data->get("value")->as_int(), 9);
+    EXPECT_EQ(dst.peek("state")->data->get("copied")->as_int(), 9);
     cast.stop();
     return passes;
   };
@@ -255,18 +257,6 @@ TEST_F(CastTest, DebounceCoalescesBursts) {
   EXPECT_GT(without, 3u);
   EXPECT_LE(with, 3u);
   EXPECT_LT(with, without);
-}
-
-TEST_F(CastTest, DebouncedEventsStillPropagate) {
-  CastIntegrator::Options options;
-  options.debounce = sim::from_ms(10.0);
-  auto cast = make_cast(kSimpleSpec, options);
-  ASSERT_TRUE(cast->start().ok());
-  clock_.run_all();
-  (void)src_->put_sync("svc", "state", Value::object({{"value", 7}}));
-  clock_.run_all();
-  ASSERT_NE(dst_->peek("state"), nullptr);
-  EXPECT_EQ(dst_->peek("state")->data->get("copied")->as_int(), 7);
 }
 
 TEST_F(CastTest, ComputeLatencyCharged) {

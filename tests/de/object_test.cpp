@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <string>
+
 namespace knactor::de {
 namespace {
 
+using common::Error;
 using common::Value;
 
 class ObjectDeTest : public ::testing::Test {
@@ -377,6 +382,247 @@ TEST_F(ObjectDeTest, CreateStoreIsIdempotent) {
   ObjectStore& b = de_.create_store("same");
   EXPECT_EQ(&a, &b);
   EXPECT_EQ(de_.store("missing"), nullptr);
+}
+
+
+// ---------------------------------------------------------------------------
+// Per-op write contract: every per-op write entry point under each failure
+// condition it can meet, with the exact error and the exact movement of
+// every ObjectDeStats counter. All six entry points share one admit/commit
+// path; this table is what that path must keep.
+// ---------------------------------------------------------------------------
+
+using Counters = std::map<std::string, std::uint64_t>;
+
+Counters counters_of(const ObjectDeStats& s) {
+  return {{"reads", s.reads},
+          {"writes", s.writes},
+          {"deletes", s.deletes},
+          {"lists", s.lists},
+          {"watch_events", s.watch_events},
+          {"udf_calls", s.udf_calls},
+          {"engine_ops", s.engine_ops},
+          {"permission_denials", s.permission_denials},
+          {"version_conflicts", s.version_conflicts},
+          {"unavailable_rejections", s.unavailable_rejections},
+          {"watch_batches", s.watch_batches},
+          {"watch_events_coalesced", s.watch_events_coalesced},
+          {"watch_events_filtered", s.watch_events_filtered},
+          {"watch_events_dropped", s.watch_events_dropped}};
+}
+
+/// The counters that moved between two readings, with their deltas.
+Counters moved_between(const Counters& before, const Counters& after) {
+  Counters out;
+  for (const auto& [name, value] : after) {
+    if (value != before.at(name)) out[name] = value - before.at(name);
+  }
+  return out;
+}
+
+enum class WriteEntry { kPut, kPutVersioned, kPatch, kRemove, kUdfPut, kUdfPatch };
+enum class WriteCondition { kDenied, kFieldRule, kCrashed, kConflictOrMissing };
+
+struct WriteContractCase {
+  const char* name;
+  WriteEntry entry;
+  WriteCondition condition;
+  std::optional<Error::Code> code;  // nullopt: the write commits
+  std::string message;
+  Counters moved;
+};
+
+/// Runs one case against a fresh DE: store "s" holds "k" = {public: 1} at
+/// version 1; RBAC grants "admin" everything and "limited" writes to field
+/// `public` only; "nobody" has no role. UDF cases run the write inside a
+/// UDF owned by the case's principal and invoked by "admin".
+common::Status run_write_case(const WriteContractCase& c,
+                              Counters* moved_out) {
+  sim::VirtualClock clock;
+  ObjectDe de(clock, ObjectDeProfile::instant());
+  ObjectStore& store = de.create_store("s");
+  EXPECT_EQ(store.put_sync("admin", "k", Value::object({{"public", 1}})).value(),
+            1u);
+
+  Role full;
+  full.name = "full";
+  PolicyRule all;
+  all.store = "*";
+  all.verbs = {Verb::kGet,    Verb::kList,   Verb::kWatch,    Verb::kCreate,
+               Verb::kUpdate, Verb::kDelete, Verb::kInvokeUdf};
+  full.rules.push_back(all);
+  Role limited;
+  limited.name = "limited";
+  PolicyRule fields;
+  fields.store = "s";
+  fields.verbs = {Verb::kUpdate, Verb::kDelete};
+  fields.fields.allowed = {"public"};
+  limited.rules.push_back(fields);
+  EXPECT_TRUE(de.rbac().add_role(full).ok());
+  EXPECT_TRUE(de.rbac().add_role(limited).ok());
+  EXPECT_TRUE(de.rbac().bind("admin", "full").ok());
+  EXPECT_TRUE(de.rbac().bind("limited", "limited").ok());
+  de.rbac().set_enabled(true);
+
+  std::string principal = "admin";
+  std::string target = "s";
+  std::string key = "k";
+  Value data = Value::object({{"public", 2}});
+  std::uint64_t expected_version = 1;
+  switch (c.condition) {
+    case WriteCondition::kDenied: principal = "nobody"; break;
+    case WriteCondition::kFieldRule:
+      principal = "limited";
+      data = Value::object({{"secret", 1}});
+      break;
+    case WriteCondition::kCrashed: break;
+    case WriteCondition::kConflictOrMissing:
+      expected_version = 99;                          // put_versioned
+      if (c.entry == WriteEntry::kRemove) key = "gone";  // remove
+      target = "nope";                                // UDF writes
+      break;
+  }
+
+  const bool udf =
+      c.entry == WriteEntry::kUdfPut || c.entry == WriteEntry::kUdfPatch;
+  if (udf) {
+    const bool merge = c.entry == WriteEntry::kUdfPatch;
+    EXPECT_TRUE(de.register_udf(principal, "op",
+                                [merge, target, data](UdfContext& ctx,
+                                                      const Value&)
+                                    -> common::Result<Value> {
+                                  auto r = merge ? ctx.patch(target, "k", data)
+                                                 : ctx.put(target, "k", data);
+                                  if (!r.ok()) return r.error();
+                                  return Value(
+                                      static_cast<std::int64_t>(r.value()));
+                                })
+                    .ok());
+  }
+  if (c.condition == WriteCondition::kCrashed) de.crash();
+
+  const Counters before = counters_of(de.stats());
+  common::Status status;
+  switch (c.entry) {
+    case WriteEntry::kPut: {
+      auto r = store.put_sync(principal, key, data);
+      if (!r.ok()) status = r.error();
+      break;
+    }
+    case WriteEntry::kPutVersioned: {
+      std::optional<common::Result<std::uint64_t>> r;
+      store.put_versioned(principal, key, data, expected_version,
+                          [&](common::Result<std::uint64_t> v) {
+                            r = std::move(v);
+                          });
+      clock.run_all();
+      EXPECT_TRUE(r.has_value());
+      if (r.has_value() && !r->ok()) status = r->error();
+      break;
+    }
+    case WriteEntry::kPatch: {
+      auto r = store.patch_sync(principal, key, data);
+      if (!r.ok()) status = r.error();
+      break;
+    }
+    case WriteEntry::kRemove: status = store.remove_sync(principal, key); break;
+    case WriteEntry::kUdfPut:
+    case WriteEntry::kUdfPatch: {
+      auto r = de.call_udf_sync("admin", "op", Value::object({}));
+      if (!r.ok()) status = r.error();
+      break;
+    }
+  }
+  *moved_out = moved_between(before, counters_of(de.stats()));
+  return status;
+}
+
+TEST(ObjectWriteContract, EveryEntryPointUnderEveryCondition) {
+  using C = Error::Code;
+  using E = WriteEntry;
+  using W = WriteCondition;
+  const std::vector<WriteContractCase> cases = {
+      // RBAC denial: the op counter and one denial.
+      {"put/denied", E::kPut, W::kDenied, C::kPermissionDenied,
+       "object: nobody cannot write s/k",
+       {{"writes", 1}, {"permission_denials", 1}}},
+      {"put_versioned/denied", E::kPutVersioned, W::kDenied,
+       C::kPermissionDenied, "object: nobody cannot write s/k",
+       {{"writes", 1}, {"permission_denials", 1}}},
+      {"patch/denied", E::kPatch, W::kDenied, C::kPermissionDenied,
+       "object: nobody cannot patch s/k",
+       {{"writes", 1}, {"permission_denials", 1}}},
+      {"remove/denied", E::kRemove, W::kDenied, C::kPermissionDenied,
+       "object: nobody cannot delete s/k",
+       {{"deletes", 1}, {"permission_denials", 1}}},
+      {"udf.put/denied", E::kUdfPut, W::kDenied, C::kPermissionDenied,
+       "udf: nobody cannot write s/k",
+       {{"udf_calls", 1}, {"engine_ops", 1}, {"permission_denials", 1}}},
+      {"udf.patch/denied", E::kUdfPatch, W::kDenied, C::kPermissionDenied,
+       "udf: nobody cannot patch s/k",
+       {{"udf_calls", 1}, {"engine_ops", 1}, {"permission_denials", 1}}},
+      // Field-rule violation: client writes count a denial, UDF writes do
+      // not, and a delete carries no fields so it commits.
+      {"put/field_rule", E::kPut, W::kFieldRule, C::kPermissionDenied,
+       "rbac: write to field 'secret' denied",
+       {{"writes", 1}, {"permission_denials", 1}}},
+      {"put_versioned/field_rule", E::kPutVersioned, W::kFieldRule,
+       C::kPermissionDenied, "rbac: write to field 'secret' denied",
+       {{"writes", 1}, {"permission_denials", 1}}},
+      {"patch/field_rule", E::kPatch, W::kFieldRule, C::kPermissionDenied,
+       "rbac: write to field 'secret' denied",
+       {{"writes", 1}, {"permission_denials", 1}}},
+      {"remove/field_rule", E::kRemove, W::kFieldRule, std::nullopt, "",
+       {{"deletes", 1}}},
+      {"udf.put/field_rule", E::kUdfPut, W::kFieldRule, C::kPermissionDenied,
+       "rbac: write to field 'secret' denied",
+       {{"udf_calls", 1}, {"engine_ops", 1}}},
+      {"udf.patch/field_rule", E::kUdfPatch, W::kFieldRule,
+       C::kPermissionDenied, "rbac: write to field 'secret' denied",
+       {{"udf_calls", 1}, {"engine_ops", 1}}},
+      // Crashed DE: rejected before any op counter moves (a UDF write is
+      // rejected at the call, before its body runs).
+      {"put/crashed", E::kPut, W::kCrashed, C::kUnavailable,
+       "object: de unavailable (crashed)", {{"unavailable_rejections", 1}}},
+      {"put_versioned/crashed", E::kPutVersioned, W::kCrashed,
+       C::kUnavailable, "object: de unavailable (crashed)",
+       {{"unavailable_rejections", 1}}},
+      {"patch/crashed", E::kPatch, W::kCrashed, C::kUnavailable,
+       "object: de unavailable (crashed)", {{"unavailable_rejections", 1}}},
+      {"remove/crashed", E::kRemove, W::kCrashed, C::kUnavailable,
+       "object: de unavailable (crashed)", {{"unavailable_rejections", 1}}},
+      {"udf.put/crashed", E::kUdfPut, W::kCrashed, C::kUnavailable,
+       "object: de unavailable (crashed)", {{"unavailable_rejections", 1}}},
+      {"udf.patch/crashed", E::kUdfPatch, W::kCrashed, C::kUnavailable,
+       "object: de unavailable (crashed)", {{"unavailable_rejections", 1}}},
+      // Version conflict / missing key, where the entry point has one (put
+      // and patch are upserts).
+      {"put_versioned/conflict", E::kPutVersioned, W::kConflictOrMissing,
+       C::kFailedPrecondition,
+       "object: version conflict on s/k (expected 99, have 1)",
+       {{"writes", 1}, {"version_conflicts", 1}}},
+      {"remove/missing", E::kRemove, W::kConflictOrMissing, C::kNotFound,
+       "object: s/gone not found", {{"deletes", 1}}},
+      {"udf.put/missing_store", E::kUdfPut, W::kConflictOrMissing,
+       C::kNotFound, "udf: unknown store 'nope'",
+       {{"udf_calls", 1}, {"engine_ops", 1}}},
+      {"udf.patch/missing_store", E::kUdfPatch, W::kConflictOrMissing,
+       C::kNotFound, "udf: unknown store 'nope'",
+       {{"udf_calls", 1}, {"engine_ops", 1}}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    Counters moved;
+    common::Status status = run_write_case(c, &moved);
+    if (c.code.has_value()) {
+      ASSERT_FALSE(status.ok());
+      EXPECT_EQ(status.error().code, *c.code) << status.error().to_string();
+      EXPECT_EQ(status.error().message, c.message);
+    } else {
+      EXPECT_TRUE(status.ok()) << status.error().to_string();
+    }
+    EXPECT_EQ(moved, c.moved);
+  }
 }
 
 }  // namespace
