@@ -277,7 +277,7 @@ SyncRun run_smart_home(std::size_t records, bool consolidate) {
 // CPU-bound open-loop commit workload. Latencies are virtual (the redis
 // profile's sampled commit times cost zero wall time), so every measured
 // microsecond is framework CPU: scheduler traffic, per-op closures,
-// RBAC/watch matching, WAL and buffer staging, map commits. The whole
+// RBAC/watch matching, watch-buffer staging, map commits. The whole
 // workload is admitted up front and then drained to convergence — the
 // load a service sees when writes arrive faster than they commit. Under
 // that load the per-op path keeps one scheduled commit (with its
@@ -285,8 +285,10 @@ SyncRun run_smart_home(std::size_t records, bool consolidate) {
 // scheduler entries sifting through the event heap — while the epoch
 // pipeline keeps one per in-flight epoch (`ops / epoch_size` entries,
 // stamps pre-assigned, shards committed via the phase-B/phase-C
-// pipeline). Both modes run the same batched watcher and durable WAL and
-// must converge to the identical store and delivery outcome. Inputs
+// pipeline). Both modes run the same batched watcher on the same durable
+// profile (no persistence engine is attached, so durability adds no
+// commit work) and must converge to the identical store and delivery
+// outcome. Inputs
 // (keys, payloads, epoch batches) are pre-built outside the timed region
 // so the interval isolates commit machinery, not Value construction.
 struct ScalingRun {
@@ -301,7 +303,7 @@ ScalingRun run_commit_scaling(std::size_t ops, std::size_t epoch_size,
   using namespace knactor;
   sim::VirtualClock clock;
   de::ObjectDeProfile profile = de::ObjectDeProfile::redis();
-  profile.durable = true;  // WAL staging is part of the measured commit
+  profile.durable = true;  // no engine attached: adds no commit work
   de::ObjectDe de(clock, profile);
   common::WorkerPool pool(workers);
   de.set_shards(shards);

@@ -1,5 +1,5 @@
 // The shared data-exchange kernel: the substrate that every DE flavor
-// (Object, Log, and future backends — durable WAL vs in-memory) builds on.
+// (Object, Log, and future backends — journaled vs in-memory) builds on.
 // ObjectDe and LogDe used to each hand-roll commit sequencing, RBAC
 // enforcement + audit, availability simulation, retention/GC hooks, and
 // synchronous clock driving; the Kernel owns all of that once, so the DEs
@@ -28,6 +28,7 @@
 #include "common/worker_pool.h"
 #include "core/causality.h"
 #include "de/rbac.h"
+#include "de/subscription.h"
 #include "sim/clock.h"
 #include "sim/random.h"
 
@@ -214,10 +215,23 @@ class Kernel {
     }
   };
 
-  SubscriptionInfo& register_subscription(std::uint64_t id) {
+  /// Allocates a watch id and registers `sub`'s contract under it — the
+  /// one registration step of every facade's subscribe.
+  std::uint64_t register_subscription(const std::string& store,
+                                      const std::string& principal,
+                                      const CompiledSubscription& sub,
+                                      bool batched) {
+    const std::uint64_t id = allocate_watch_id();
     SubscriptionInfo& info = subscriptions_[id];
     info.id = id;
-    return info;
+    info.store = store;
+    info.principal = principal;
+    info.filter = sub.spec().filter;
+    info.projected = sub.projected();
+    info.batched = batched;
+    info.deadline = sub.qos().deadline;
+    info.stage = sub.qos().stage_or_default();
+    return id;
   }
   void unregister_subscription(std::uint64_t id) { subscriptions_.erase(id); }
   [[nodiscard]] SubscriptionInfo* find_subscription(std::uint64_t id) {
@@ -261,7 +275,8 @@ class Kernel {
   void set_available(bool available) { available_ = available; }
   [[nodiscard]] bool available() const { return available_; }
   void crash() { available_ = false; }
-  /// Runs the facade's restart hook (WAL replay or wipe), then marks up.
+  /// Runs the facade's restart hook (disk recovery, kept state, or a
+  /// wipe), then marks up.
   void recover() {
     if (restart_) restart_();
     available_ = true;

@@ -337,16 +337,9 @@ Result<std::uint64_t> LogPool::subscribe(const std::string& principal,
   }
   auto compiled = CompiledSubscription::compile(std::move(spec));
   if (!compiled.ok()) return compiled.error();
-  std::uint64_t id = de_.kernel_.allocate_watch_id();
   auto sub = compiled.take();
-  Kernel::SubscriptionInfo& info = de_.kernel_.register_subscription(id);
-  info.store = name_;
-  info.principal = principal;
-  info.filter = sub->spec().filter;
-  info.projected = sub->projected();
-  info.batched = false;
-  info.deadline = sub->qos().deadline;
-  info.stage = sub->qos().stage_or_default();
+  const std::uint64_t id =
+      de_.kernel_.register_subscription(name_, principal, *sub, false);
   subscribers_.push_back(
       Subscriber{id, principal, std::move(sub), std::move(callback)});
   return id;

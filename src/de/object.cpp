@@ -125,38 +125,43 @@ void ObjectStore::list(const std::string& principal, const std::string& prefix,
                                     name_));
       return;
     }
-    // Shard-parallel prefix scan: each shard collects and RBAC-filters its
-    // own matches (pure per-shard work), then the merge sorts by key —
-    // byte-identical to the 1-shard in-order scan.
-    const std::size_t shard_count = objects_.shard_count();
-    std::vector<std::vector<StateObject>> per_shard(shard_count);
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(shard_count);
-    for (std::size_t i = 0; i < shard_count; ++i) {
-      tasks.push_back([this, i, &per_shard, &prefix, &d] {
-        std::vector<StateObject>& out = per_shard[i];
-        for (const auto& [key, obj] : objects_.shard(i)) {
-          if (!common::starts_with(key, prefix)) continue;
-          StateObject copy = obj;
-          if (!d.fields.unrestricted() && copy.data) {
-            copy.data = std::make_shared<const Value>(
-                Rbac::filter_fields(*copy.data, d.fields));
-          }
-          out.push_back(std::move(copy));
-        }
-      });
-    }
-    de_.kernel_.run_shard_tasks(tasks);
-    std::vector<StateObject> out;
-    for (auto& shard : per_shard) {
-      for (auto& obj : shard) out.push_back(std::move(obj));
-    }
-    std::sort(out.begin(), out.end(),
-              [](const StateObject& a, const StateObject& b) {
-                return a.key < b.key;
-              });
-    done(std::move(out));
+    done(scan(prefix, d.fields));
   });
+}
+
+std::vector<StateObject> ObjectStore::scan(const std::string& prefix,
+                                           const FieldRule& fields) const {
+  // Shard-parallel prefix scan: each shard collects and RBAC-filters its
+  // own matches (pure per-shard work), then the merge sorts by key —
+  // byte-identical to the 1-shard in-order scan.
+  const std::size_t shard_count = objects_.shard_count();
+  std::vector<std::vector<StateObject>> per_shard(shard_count);
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(shard_count);
+  for (std::size_t i = 0; i < shard_count; ++i) {
+    tasks.push_back([this, i, &per_shard, &prefix, &fields] {
+      std::vector<StateObject>& out = per_shard[i];
+      for (const auto& [key, obj] : objects_.shard(i)) {
+        if (!common::starts_with(key, prefix)) continue;
+        StateObject copy = obj;
+        if (!fields.unrestricted() && copy.data) {
+          copy.data = std::make_shared<const Value>(
+              Rbac::filter_fields(*copy.data, fields));
+        }
+        out.push_back(std::move(copy));
+      }
+    });
+  }
+  de_.kernel_.run_shard_tasks(tasks);
+  std::vector<StateObject> out;
+  for (auto& shard : per_shard) {
+    for (auto& obj : shard) out.push_back(std::move(obj));
+  }
+  std::sort(out.begin(), out.end(),
+            [](const StateObject& a, const StateObject& b) {
+              return a.key < b.key;
+            });
+  return out;
 }
 
 void ObjectStore::put_epoch(const std::string& principal,
@@ -187,32 +192,14 @@ std::vector<Result<std::uint64_t>> ObjectStore::put_epoch_sync(
 Result<std::uint64_t> ObjectStore::subscribe(const std::string& principal,
                                              SubscriptionSpec spec,
                                              WatchCallback callback) {
-  Decision d = de_.check_access(principal, name_, spec.prefix, Verb::kWatch);
-  if (!d.allowed) {
-    ++de_.stats_.permission_denials;
-    return Error::permission_denied("object: " + principal +
-                                    " cannot watch " + name_ + "/" +
-                                    spec.prefix);
-  }
-  auto compiled = CompiledSubscription::compile(std::move(spec));
-  if (!compiled.ok()) return compiled.error();
-  return de_.add_subscription(*this, principal, compiled.take(),
+  return de_.add_subscription(*this, principal, std::move(spec),
                               std::move(callback), nullptr);
 }
 
 Result<std::uint64_t> ObjectStore::subscribe_batch(
     const std::string& principal, SubscriptionSpec spec,
     WatchBatchCallback callback) {
-  Decision d = de_.check_access(principal, name_, spec.prefix, Verb::kWatch);
-  if (!d.allowed) {
-    ++de_.stats_.permission_denials;
-    return Error::permission_denied("object: " + principal +
-                                    " cannot watch " + name_ + "/" +
-                                    spec.prefix);
-  }
-  auto compiled = CompiledSubscription::compile(std::move(spec));
-  if (!compiled.ok()) return compiled.error();
-  return de_.add_subscription(*this, principal, compiled.take(), nullptr,
+  return de_.add_subscription(*this, principal, std::move(spec), nullptr,
                               std::move(callback));
 }
 
@@ -397,17 +384,7 @@ Result<std::vector<StateObject>> UdfContext::list(const std::string& store,
     return Error::permission_denied("udf: " + principal_ + " cannot list " +
                                     store);
   }
-  std::vector<StateObject> out;
-  for (std::size_t i = 0; i < s->objects_.shard_count(); ++i) {
-    for (const auto& [key, obj] : s->objects_.shard(i)) {
-      if (common::starts_with(key, prefix)) out.push_back(obj);
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const StateObject& a, const StateObject& b) {
-              return a.key < b.key;
-            });
-  return out;
+  return s->scan(prefix, d.fields);
 }
 
 sim::SimTime UdfContext::now() const { return de_.kernel_.clock().now(); }
@@ -448,8 +425,20 @@ void ObjectDe::set_shards(std::size_t n) {
   for (auto& [name, store] : stores_) {
     store->objects_.set_shard_count(n);
   }
-  // In-flight watch buffers keep their original partitioning; they flush
-  // through buf.shards.size(), so no repartition is needed.
+  // Pending watch buffers move to the new layout too, so every batched
+  // watcher keeps staging straight into its shard queue. Queue order is
+  // irrelevant: the flush sorts each queue by commit seq before merging.
+  for (auto& [id, buf] : watch_buffers_) {
+    std::vector<ShardQueue> old = std::move(buf.shards);
+    buf.shards.assign(n, ShardQueue{});
+    for (ShardQueue& queue : old) {
+      for (BufferedEvent& be : queue.events) {
+        ShardQueue& dst = buf.shards[shard_of(be.event.object.key, n)];
+        dst.slots.emplace(be.event.object.key, dst.events.size());
+        dst.events.push_back(std::move(be));
+      }
+    }
+  }
 }
 
 Status ObjectDe::register_udf(const std::string& principal,
@@ -626,29 +615,15 @@ void ObjectDe::restart() {
     (void)recover_from_disk();
     return;
   }
+  // A durable DE with no engine keeps its state: every acked commit is
+  // already in memory (a rolled-back epoch restored its pre-images), so
+  // objects keep their versions and timestamps, as disk recovery restores
+  // them. No watch or trigger fires; listeners re-list after a restart, as
+  // in the Kubernetes informer pattern.
+  if (profile_.durable) return;
   for (auto& [name, store] : stores_) {
     store->objects_.clear();
   }
-  if (!profile_.durable) {
-    wal_.clear();
-    return;
-  }
-  // Replay the WAL in order (versions are re-assigned monotonically; watch
-  // and trigger delivery is suppressed during recovery, as listeners
-  // re-list after a restart in the Kubernetes informer pattern).
-  std::vector<WalEntry> wal = std::move(wal_);
-  wal_.clear();
-  bool saved = recovering_;
-  recovering_ = true;
-  for (const auto& entry : wal) {
-    ObjectStore& store = create_store(entry.store);
-    if (entry.data == nullptr) {
-      (void)commit_write(store, {.key = entry.key, .remove = true});
-    } else {
-      (void)commit_write(store, {.key = entry.key, .data = *entry.data});
-    }
-  }
-  recovering_ = saved;
 }
 
 Status ObjectDe::enable_persistence(persist::Engine* engine) {
@@ -661,8 +636,6 @@ Status ObjectDe::enable_persistence(persist::Engine* engine) {
     persist_ = nullptr;
     return st;
   }
-  // The on-disk journal supersedes the in-memory WAL from here on.
-  wal_.clear();
   kernel_.add_gc_hook([engine] { return engine->gc(); });
   return Status::success();
 }
@@ -820,7 +793,7 @@ Result<std::uint64_t> ObjectDe::commit_write(ObjectStore& store,
 
     // Version-chain lineage: snapshot the previous version before the
     // overwrite invalidates `existing`.
-    const bool lineage = kernel_.provenance().enabled() && !recovering_;
+    const bool lineage = kernel_.provenance().enabled();
     core::LineageRef prev;
     if (lineage && existed) {
       prev = {store.name_, key, existing->version, existing->data};
@@ -852,43 +825,35 @@ Result<std::uint64_t> ObjectDe::commit_write(ObjectStore& store,
   }
 
   if (persist_ != nullptr) {
-    if (!recovering_) {
-      std::string rec;
-      if (write.remove) {
-        persist::encode_delete(rec, store.name_, key);
-      } else {
-        persist::encode_put(rec, store.name_, key, obj.version,
-                            obj.created_at, obj.updated_at, *obj.data);
-      }
-      if (defer_notifications_) {
-        // Transaction: stage; transact() flushes every staged record as
-        // one atomic frame before the notification drain.
-        txn_records_.push_back(std::move(rec));
-      } else {
-        // Journal before notifications, carrying this commit's post-state
-        // counters (fire_watches below allocates exactly one commit seq).
-        auto st = persist_->append_batch({rec}, 1,
-                                         kernel_.peek_next_revision(),
-                                         kernel_.commit_seq() + 1);
-        if (!st.ok()) {
-          // Torn append: the op is not durable, so it must not ack or
-          // notify. Recovery reloads the journal's valid prefix; the
-          // client retries against the recovered state.
-          kernel_.crash();
-          return st.error();
-        }
+    std::string rec;
+    if (write.remove) {
+      persist::encode_delete(rec, store.name_, key);
+    } else {
+      persist::encode_put(rec, store.name_, key, obj.version, obj.created_at,
+                          obj.updated_at, *obj.data);
+    }
+    if (defer_notifications_) {
+      // Transaction: stage; transact() flushes every staged record as one
+      // atomic frame before the notification drain.
+      txn_records_.push_back(std::move(rec));
+    } else {
+      // Journal before notifications, carrying this commit's post-state
+      // counters (fire_watches below allocates exactly one commit seq).
+      auto st = persist_->append_batch({rec}, 1, kernel_.peek_next_revision(),
+                                       kernel_.commit_seq() + 1);
+      if (!st.ok()) {
+        // Torn append: the op is not durable, so it must not ack or
+        // notify. Recovery reloads the journal's valid prefix; the client
+        // retries against the recovered state.
+        kernel_.crash();
+        return st.error();
       }
     }
-  } else if (profile_.durable) {
-    wal_.push_back(
-        WalEntry{store.name_, key, write.remove ? nullptr : obj.data});
   }
 
-  if (!recovering_) {
-    fire_watches(store.name_, type, obj);
-    fire_triggers(store.name_, type, obj);
-    if (!defer_notifications_) maybe_auto_snapshot();
-  }
+  fire_watches(store.name_, type, obj);
+  fire_triggers(store.name_, type, obj);
+  if (!defer_notifications_) maybe_auto_snapshot();
   return write.remove ? std::uint64_t{0} : obj.version;
 }
 
@@ -901,15 +866,16 @@ Result<std::uint64_t> ObjectDe::commit_write(ObjectStore& store,
 //   key shard.
 // Phase B (parallel, one ordered queue per shard): RBAC with buffered
 //   audit, write validation, version check, merge compute, state insert,
-//   WAL JSON staging, lineage snapshot, watch matching + field filtering.
-//   No clock reads, no RNG draws, no shared-counter bumps — each op's
-//   scratch (EpochOp) is owned by exactly one shard task.
+//   journal record encoding, lineage snapshot, watch matching (match_watch)
+//   and batched-watch staging. No clock reads, no RNG draws, no
+//   shared-counter bumps — each op's scratch (EpochOp) is owned by exactly
+//   one shard task.
 // Phase C (serial merge, global op order): audit splice, lineage records,
-//   all-or-nothing WAL splice, stats, watch enqueue/delivery scheduling and
-//   trigger fan-out through the same code the per-op path uses (so RNG
-//   draws happen in exactly the serial order). The chaos fault hook runs
-//   between B and C: a crash there rolls the whole epoch back, so recovery
-//   never replays a half-merged epoch.
+//   stats, watch delivery scheduling and trigger fan-out through the same
+//   code the per-op path uses (so RNG draws happen in exactly the serial
+//   order). The chaos fault hook and the journal append run between B and
+//   C: a crash there rolls the whole epoch back, so neither memory nor
+//   disk ever holds a half-merged epoch.
 // ---------------------------------------------------------------------------
 
 std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
@@ -965,12 +931,11 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
 
   // Per-shard watch queues: batched store watchers commit straight into
   // their buffers from the shard tasks. A buffer's shard queue `s` holds
-  // only shard-`s` keys and is touched by exactly one task, so no locks —
-  // and no per-op buffer lookups in the serial merge. The shared-counter
-  // side (`buf.commits`, coalesce stats, flush scheduling with its RNG
-  // draw) is staged per shard and folded serially in Phase C. A buffer
-  // whose shard layout predates a set_shards() call falls back to the
-  // serial per-op enqueue.
+  // only shard-`s` keys (set_shards re-partitions pending buffers) and is
+  // touched by exactly one task, so no locks — and no per-op buffer
+  // lookups in the serial merge. The shared-counter side (`buf.commits`,
+  // coalesce stats, flush scheduling with its RNG draw) is staged per
+  // shard and folded serially in Phase C.
   struct BatchTarget {
     std::size_t watch_index = 0;
     WatchBuffer* buffer = nullptr;
@@ -982,10 +947,9 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
   std::vector<int> batch_target_of(watches_.size(), -1);
   for (std::size_t widx : store_watchers) {
     const Watch& w = watches_[widx];
-    if (!w.batched) continue;
+    if (!w.batch_callback) continue;
     WatchBuffer& buf = watch_buffers_[w.id];
-    if (buf.shards.empty()) buf.shards.resize(shards_);
-    if (buf.shards.size() != shard_count) continue;  // serial fallback
+    if (buf.shards.empty()) buf.shards.resize(shard_count);
     BatchTarget target;
     target.watch_index = widx;
     target.buffer = &buf;
@@ -1072,9 +1036,6 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
       op.type = WatchEventType::kDeleted;
       if (persist_ != nullptr) {
         persist::encode_delete(op.persist_rec, store.name_, op.obj.key);
-      } else if (profile_.durable) {
-        op.has_wal = true;
-        op.wal = WalEntry{store.name_, op.obj.key, nullptr};
       }
     } else {
       Value final_data;
@@ -1087,7 +1048,7 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
       } else {
         final_data = std::move(w.data);
       }
-      const bool lineage = kernel_.provenance().enabled() && !recovering_;
+      const bool lineage = kernel_.provenance().enabled();
       core::LineageRef prev;
       if (lineage && existed) {
         prev = {store.name_, w.key, existing->version, existing->data};
@@ -1125,74 +1086,42 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
         persist::encode_put(op.persist_rec, store.name_, op.obj.key,
                             op.obj.version, op.obj.created_at,
                             op.obj.updated_at, *op.obj.data);
-      } else if (profile_.durable) {
-        op.has_wal = true;
-        op.wal = WalEntry{store.name_, op.obj.key, op.obj.data};
       }
       op.type = existed ? WatchEventType::kModified : WatchEventType::kAdded;
     }
     op.committed = true;
-    // Watch matching: prefix + RBAC (audited into the op's sink, in watcher
-    // registration order — same audit shape as the per-op path). Batched
-    // watchers with a shard-aligned buffer take the direct path: the event
-    // coalesces into the buffer's shard queue right here (shard-local, so
-    // lock-free), leaving only counter folding for Phase C. Per-event
-    // watchers and fallback buffers stage a WatchHit for the serial merge.
-    const std::string& key = op.obj.key;
+    // Watch matching through the shared rule (RBAC audited into the op's
+    // sink, in watcher registration order — same audit shape as the per-op
+    // path). Batched watchers coalesce straight into their buffer's shard
+    // queue right here (shard-local, so lock-free), leaving only counter
+    // folding for Phase C; per-event watchers stage a WatchHit for the
+    // serial merge. Subscription accounting is staged on the op and folded
+    // in Phase C, like every other counter.
     for (std::size_t widx : store_watchers) {
       const Watch& watch = watches_[widx];
-      if (!common::starts_with(key, watch.prefix)) continue;
-      Decision wd = kernel_.check_access_buffered(
-          watch.principal, store.name_, key, Verb::kWatch, now, &op.audit);
-      if (!wd.allowed) continue;
-      // Subscription content filter + projection: apply() is pure, so it
-      // runs right here in the shard task. Accounting is staged on the op
-      // (shard-local) and folded in Phase C, like every other counter.
-      common::SharedValue payload = op.obj.data;
-      if (watch.sub != nullptr && watch.sub->active()) {
+      WatchMatch m = match_watch(watch, op.obj, now, &op.audit);
+      if (m.outcome == WatchMatch::Outcome::kSkip) continue;
+      if (watch.sub->active()) {
         op.sub_matched.push_back(static_cast<std::uint32_t>(widx));
-        auto projected = watch.sub->apply(op.obj.data);
-        if (!projected.has_value()) {
-          op.sub_filtered.push_back(static_cast<std::uint32_t>(widx));
-          continue;  // rejected pre-enqueue: no slot, no RBAC filter, no hit
-        }
-        payload = std::move(*projected);
       }
+      if (m.outcome == WatchMatch::Outcome::kFiltered) {
+        op.sub_filtered.push_back(static_cast<std::uint32_t>(widx));
+        continue;  // rejected pre-enqueue: no slot, no hit
+      }
+      WatchEvent event{op.type, store.name_, op.obj, op.ctx};
+      event.object.data = std::move(m.payload);
       const int bt = batch_target_of[widx];
-      if (bt >= 0) {
-        BatchTarget& target = batch_targets[static_cast<std::size_t>(bt)];
-        WatchEvent event;
-        event.type = op.type;
-        event.store = store.name_;
-        event.object = op.obj;
-        event.object.data = payload;
-        event.ctx = op.ctx;
-        ++target.commits[shard];
-        if (coalesce_into(target.buffer->shards[shard], std::move(event),
-                          op.ctx.commit_seq, wd.fields,
-                          stage_undo ? &target.undo[shard] : nullptr)) {
-          ++target.coalesced[shard];
-        }
+      if (bt < 0) {
+        op.hits.push_back({widx, std::move(event)});
         continue;
       }
-      EpochOp::WatchHit hit;
-      hit.watch_index = widx;
-      if (watch.batched) {
-        hit.batched = true;
-        hit.fields = wd.fields;
-        hit.payload = std::move(payload);
-      } else {
-        hit.event.type = op.type;
-        hit.event.store = store.name_;
-        hit.event.object = op.obj;
-        hit.event.object.data = std::move(payload);
-        hit.event.ctx = op.ctx;
-        if (!wd.fields.unrestricted() && hit.event.object.data) {
-          hit.event.object.data = std::make_shared<const Value>(
-              Rbac::filter_fields(*hit.event.object.data, wd.fields));
-        }
+      BatchTarget& target = batch_targets[static_cast<std::size_t>(bt)];
+      ++target.commits[shard];
+      if (coalesce_into(target.buffer->shards[shard], std::move(event),
+                        op.ctx.commit_seq, m.fields,
+                        stage_undo ? &target.undo[shard] : nullptr)) {
+        ++target.coalesced[shard];
       }
-      op.hits.push_back(std::move(hit));
     }
   };
   auto process = [&](std::size_t i, std::size_t shard,
@@ -1301,9 +1230,9 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
     epoch_metrics_->inc("de.epoch.epochs");
     for (auto& delta : metric_deltas) epoch_metrics_->merge(delta);
   }
-  // Fold the direct-staged batch watchers' shard-local counters and draw
-  // the flush delay (one RNG sample per watcher, registration order — the
-  // same draw enqueue_batched would have made on the first matching op).
+  // Fold the batch watchers' shard-local counters and draw the flush delay
+  // (one RNG sample per watcher, registration order — the same draw the
+  // per-op path makes on a window's first matching commit).
   for (BatchTarget& target : batch_targets) {
     std::uint64_t commits = 0;
     std::uint64_t coalesced = 0;
@@ -1312,18 +1241,9 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
       coalesced += target.coalesced[s];
     }
     if (commits == 0) continue;
-    WatchBuffer& buf = *target.buffer;
-    buf.commits += commits;
+    target.buffer->commits += commits;
     stats_.watch_events_coalesced += coalesced;
-    if (!buf.flush_scheduled) {
-      buf.flush_scheduled = true;
-      Watch& w = watches_[target.watch_index];
-      begin_batch_span(w, buf);
-      sim::SimTime delay =
-          w.window + profile_.watch_notify.sample(kernel_.rng());
-      std::uint64_t id = w.id;
-      clock().schedule_after(delay, [this, id]() { flush_watch_batch(id); });
-    }
+    schedule_flush(watches_[target.watch_index], *target.buffer);
   }
   for (std::size_t i = 0; i < n; ++i) {
     EpochOp& op = ops[i];
@@ -1344,7 +1264,6 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
       continue;
     }
     if (op.has_lineage) kernel_.provenance().record(std::move(op.lineage));
-    if (op.has_wal) wal_.push_back(std::move(op.wal));
     // Fold the shard-staged subscription accounting in global op order, and
     // emit the `sub.filter` spans here on the main loop — span count and
     // order stay independent of the shard/worker configuration.
@@ -1360,18 +1279,7 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
       note_filtered(w, op.obj.key);
     }
     for (EpochOp::WatchHit& hit : op.hits) {
-      Watch& watch = watches_[hit.watch_index];
-      if (hit.batched) {
-        Decision d;
-        d.allowed = true;
-        d.fields = hit.fields;
-        StateObject delivered = op.obj;
-        delivered.data = std::move(hit.payload);
-        enqueue_batched(watch, op.type, delivered, d, op.ctx.commit_seq,
-                        op.ctx);
-      } else {
-        schedule_event_delivery(watch, std::move(hit.event));
-      }
+      schedule_event_delivery(watches_[hit.watch_index], std::move(hit.event));
     }
     fire_triggers_with(store.name_, op.type, op.obj, op.ctx);
     results.push_back(writes[i].remove ? std::uint64_t{0} : op.obj.version);
@@ -1394,74 +1302,94 @@ void ObjectDe::fire_watches(const std::string& store_name, WatchEventType type,
   core::TraceContext ctx = commit_ctx_;
   ctx.commit_seq = seq;
   if (ctx.trace_id == 0) ctx.trace_id = seq;
-  for (auto& w : watches_) {
+  const sim::SimTime now = clock().now();
+  std::vector<AuditEntry> audit;
+  for (const auto& w : watches_) {
     if (w.store != store_name) continue;
-    if (!common::starts_with(obj.key, w.prefix)) continue;
-    Decision d = check_access(w.principal, store_name, obj.key, Verb::kWatch);
-    if (!d.allowed) continue;
-    // Subscription content filter + projection, evaluated before any queue
-    // slot or RBAC field filter is spent on the event.
-    const StateObject* deliver = &obj;
-    StateObject projected;
-    if (w.sub != nullptr && w.sub->active()) {
+    WatchMatch m = match_watch(w, obj, now, &audit);
+    kernel_.append_audit(audit);
+    audit.clear();
+    if (m.outcome == WatchMatch::Outcome::kSkip) continue;
+    if (w.sub->active()) {
       Kernel::SubscriptionInfo* info = kernel_.find_subscription(w.id);
       if (info != nullptr) ++info->matched;
-      auto out = w.sub->apply(obj.data);
-      if (!out.has_value()) {
+      if (m.outcome == WatchMatch::Outcome::kFiltered) {
         ++stats_.watch_events_filtered;
         if (info != nullptr) ++info->filtered;
         note_filtered(w, obj.key);
         continue;
       }
-      if (out->get() != obj.data.get()) {
-        projected = obj;
-        projected.data = std::move(*out);
-        deliver = &projected;
-      }
     }
-    if (w.batched) {
-      enqueue_batched(w, type, *deliver, d, seq, ctx);
+    WatchEvent event{type, store_name, obj, ctx};
+    event.object.data = std::move(m.payload);
+    if (!w.batch_callback) {
+      schedule_event_delivery(w, std::move(event));
       continue;
     }
-    WatchEvent event;
-    event.type = type;
-    event.store = store_name;
-    event.object = *deliver;
-    event.ctx = ctx;
-    if (!d.fields.unrestricted() && event.object.data) {
-      event.object.data = std::make_shared<const Value>(
-          Rbac::filter_fields(*event.object.data, d.fields));
+    WatchBuffer& buf = watch_buffers_[w.id];
+    if (buf.shards.empty()) buf.shards.resize(shards_);
+    ++buf.commits;
+    if (coalesce_into(buf.shards[shard_of(obj.key, buf.shards.size())],
+                      std::move(event), seq, m.fields, nullptr)) {
+      ++stats_.watch_events_coalesced;
     }
-    schedule_event_delivery(w, std::move(event));
+    schedule_flush(w, buf);
   }
 }
 
-std::uint64_t ObjectDe::add_subscription(
-    ObjectStore& store, const std::string& principal,
-    std::shared_ptr<const CompiledSubscription> sub,
+ObjectDe::WatchMatch ObjectDe::match_watch(
+    const Watch& w, const StateObject& obj, sim::SimTime now,
+    std::vector<AuditEntry>* audit) const {
+  WatchMatch m;
+  if (!common::starts_with(obj.key, w.prefix)) return m;
+  Decision d = kernel_.check_access_buffered(w.principal, w.store, obj.key,
+                                             Verb::kWatch, now, audit);
+  if (!d.allowed) return m;
+  // Content filter + projection before any queue slot or RBAC field
+  // filter is spent on the event.
+  if (w.sub->active()) {
+    auto projected = w.sub->apply(obj.data);
+    if (!projected.has_value()) {
+      m.outcome = WatchMatch::Outcome::kFiltered;
+      return m;
+    }
+    m.payload = std::move(*projected);
+  } else {
+    m.payload = obj.data;
+  }
+  m.outcome = WatchMatch::Outcome::kDeliver;
+  if (w.batch_callback) {
+    m.fields = std::move(d.fields);  // applied shard-locally at flush
+  } else if (!d.fields.unrestricted() && m.payload) {
+    m.payload = std::make_shared<const Value>(
+        Rbac::filter_fields(*m.payload, d.fields));
+  }
+  return m;
+}
+
+Result<std::uint64_t> ObjectDe::add_subscription(
+    ObjectStore& store, const std::string& principal, SubscriptionSpec spec,
     ObjectStore::WatchCallback callback,
     ObjectStore::WatchBatchCallback batch_callback) {
-  std::uint64_t id = kernel_.allocate_watch_id();
+  Decision d = check_access(principal, store.name_, spec.prefix, Verb::kWatch);
+  if (!d.allowed) {
+    ++stats_.permission_denials;
+    return Error::permission_denied("object: " + principal + " cannot watch " +
+                                    store.name_ + "/" + spec.prefix);
+  }
+  auto compiled = CompiledSubscription::compile(std::move(spec));
+  if (!compiled.ok()) return compiled.error();
   Watch w;
-  w.id = id;
+  w.sub = compiled.take();
+  w.id = kernel_.register_subscription(store.name_, principal, *w.sub,
+                                       batch_callback != nullptr);
   w.store = store.name_;
-  w.prefix = sub->spec().prefix;
+  w.prefix = w.sub->spec().prefix;
   w.principal = principal;
-  w.window = sub->qos().window;
-  w.batched = batch_callback != nullptr;
   w.callback = std::move(callback);
   w.batch_callback = std::move(batch_callback);
-  Kernel::SubscriptionInfo& info = kernel_.register_subscription(id);
-  info.store = w.store;
-  info.principal = principal;
-  info.filter = sub->spec().filter;
-  info.projected = sub->projected();
-  info.batched = w.batched;
-  info.deadline = sub->qos().deadline;
-  info.stage = sub->qos().stage_or_default();
-  w.sub = std::move(sub);
   watches_.push_back(std::move(w));
-  return id;
+  return watches_.back().id;
 }
 
 void ObjectDe::note_filtered(const Watch& w, const std::string& key) {
@@ -1475,23 +1403,23 @@ void ObjectDe::note_filtered(const Watch& w, const std::string& key) {
   span.annotate("key", key);
 }
 
-void ObjectDe::begin_batch_span(const Watch& w, WatchBuffer& buf) {
-  if (tracer_ == nullptr || w.sub == nullptr || !w.sub->active()) return;
-  if (buf.span_id != 0) return;
-  buf.span_id = tracer_->begin("sub.deliver");
-  tracer_->annotate(buf.span_id, "subscription", std::to_string(w.id));
-  tracer_->annotate(buf.span_id, "stage", w.sub->qos().stage_or_default());
+std::uint64_t ObjectDe::begin_deliver_span(const Watch& w) {
+  if (tracer_ == nullptr || !w.sub->active()) return 0;
+  const std::uint64_t span_id = tracer_->begin("sub.deliver");
+  tracer_->annotate(span_id, "subscription", std::to_string(w.id));
+  tracer_->annotate(span_id, "stage", w.sub->qos().stage_or_default());
   if (w.sub->qos().deadline > 0) {
-    tracer_->annotate(buf.span_id, "deadline",
+    tracer_->annotate(span_id, "deadline",
                       std::to_string(w.sub->qos().deadline));
   }
+  return span_id;
 }
 
 void ObjectDe::finish_subscription_delivery(const Watch& w,
                                             std::uint64_t span_id,
                                             std::uint64_t events,
                                             const WatchEvent* sample) {
-  if (w.sub == nullptr || !w.sub->active()) return;
+  if (!w.sub->active()) return;
   Kernel::SubscriptionInfo* info = kernel_.find_subscription(w.id);
   if (info != nullptr) info->delivered += events;
   if (span_id != 0 && tracer_ != nullptr) {
@@ -1526,16 +1454,7 @@ void ObjectDe::schedule_event_delivery(const Watch& w, WatchEvent event) {
   // Active subscriptions get a `sub.deliver` span opened here — the
   // commit's serial moment — and closed at delivery, so its duration is
   // the notify latency the QoS deadline budgets for.
-  std::uint64_t span_id = 0;
-  if (w.sub != nullptr && w.sub->active() && tracer_ != nullptr) {
-    span_id = tracer_->begin("sub.deliver");
-    tracer_->annotate(span_id, "subscription", std::to_string(id));
-    tracer_->annotate(span_id, "stage", w.sub->qos().stage_or_default());
-    if (w.sub->qos().deadline > 0) {
-      tracer_->annotate(span_id, "deadline",
-                        std::to_string(w.sub->qos().deadline));
-    }
-  }
+  const std::uint64_t span_id = begin_deliver_span(w);
   clock().schedule_after(delay, [this, callback, event = std::move(event), id,
                                  span_id]() {
     // The watch may have been cancelled while the event was in flight.
@@ -1596,29 +1515,16 @@ bool ObjectDe::coalesce_into(ShardQueue& queue, WatchEvent&& event,
   return true;
 }
 
-void ObjectDe::enqueue_batched(Watch& w, WatchEventType type,
-                               const StateObject& obj, const Decision& d,
-                               std::uint64_t seq,
-                               const core::TraceContext& ctx) {
-  WatchEvent event;
-  event.type = type;
-  event.store = w.store;
-  event.object = obj;  // payload stays a shared snapshot (zero-copy)
-  event.ctx = ctx;
-  WatchBuffer& buf = watch_buffers_[w.id];
-  if (buf.shards.empty()) buf.shards.resize(shards_);
-  ShardQueue& queue = buf.shards[shard_of(obj.key, buf.shards.size())];
-  ++buf.commits;
-  if (coalesce_into(queue, std::move(event), seq, d.fields, nullptr)) {
-    ++stats_.watch_events_coalesced;
-  }
-  if (!buf.flush_scheduled) {
-    buf.flush_scheduled = true;
-    begin_batch_span(w, buf);
-    sim::SimTime delay = w.window + profile_.watch_notify.sample(kernel_.rng());
-    std::uint64_t id = w.id;
-    clock().schedule_after(delay, [this, id]() { flush_watch_batch(id); });
-  }
+void ObjectDe::schedule_flush(const Watch& w, WatchBuffer& buf) {
+  if (buf.flush_scheduled) return;
+  buf.flush_scheduled = true;
+  // Batched windows span flush scheduling to flush: the coalescing window
+  // plus notify latency the QoS deadline budgets for.
+  buf.span_id = begin_deliver_span(w);
+  sim::SimTime delay =
+      w.sub->qos().window + profile_.watch_notify.sample(kernel_.rng());
+  std::uint64_t id = w.id;
+  clock().schedule_after(delay, [this, id]() { flush_watch_batch(id); });
 }
 
 void ObjectDe::flush_watch_batch(std::uint64_t watch_id) {
@@ -1690,17 +1596,15 @@ void ObjectDe::flush_watch_batch(std::uint64_t watch_id) {
   }
   // QoS HISTORY KEEP_LAST: drop the oldest slots past the subscriber's
   // depth, after the merge so "newest N" is exact across shards.
-  if (live->sub != nullptr) {
-    const std::size_t depth = live->sub->qos().history_depth;
-    if (depth > 0 && batch.events.size() > depth) {
-      const std::size_t dropped = batch.events.size() - depth;
-      batch.events.erase(
-          batch.events.begin(),
-          batch.events.begin() + static_cast<std::ptrdiff_t>(dropped));
-      stats_.watch_events_dropped += dropped;
-      if (auto* info = kernel_.find_subscription(watch_id)) {
-        info->dropped += dropped;
-      }
+  const std::size_t depth = live->sub->qos().history_depth;
+  if (depth > 0 && batch.events.size() > depth) {
+    const std::size_t dropped = batch.events.size() - depth;
+    batch.events.erase(
+        batch.events.begin(),
+        batch.events.begin() + static_cast<std::ptrdiff_t>(dropped));
+    stats_.watch_events_dropped += dropped;
+    if (auto* info = kernel_.find_subscription(watch_id)) {
+      info->dropped += dropped;
     }
   }
   ++stats_.watch_batches;

@@ -1,8 +1,8 @@
 // Object Data Exchange: hosts named data stores of versioned state objects
 // (attribute-value documents) and exposes CRUD + list + watch, optional
 // server-side functions (UDFs) with write triggers, RBAC enforcement, and
-// durability simulation (write-ahead log + recovery) for the apiserver
-// profile.
+// durability for the apiserver profile (an optional on-disk journal with
+// snapshot recovery, see enable_persistence).
 //
 // One ObjectDe instance models one deployed exchange (the paper's
 // K-apiserver or K-redis). Stores are namespaces within it; a UDF executes
@@ -173,7 +173,7 @@ class ObjectStore {
   /// pre-assigned serially so every op's identity is a pure function of
   /// its position in the epoch, shards commit concurrently on the bound
   /// worker pool, and a serial epoch merge replays audit entries, lineage,
-  /// WAL appends, and watch/trigger notifications in exact submission
+  /// journal appends, and watch/trigger notifications in exact submission
   /// order. Observable behavior is byte-identical for every shard/worker
   /// configuration, and — on failure-free epochs — identical to issuing
   /// the same ops through put/patch/remove one by one (failed ops leave
@@ -277,6 +277,11 @@ class ObjectStore {
   /// remove: charges one write round trip, captures the writer's trace
   /// context, then admits and commits through ObjectDe::submit_write.
   void submit(const std::string& principal, EpochWrite write, PutCallback done);
+  /// The one prefix scan behind client and UDF lists: each shard collects
+  /// and RBAC-filters its own matches on the worker pool, then the merge
+  /// sorts by key (byte-identical to the 1-shard in-order scan).
+  [[nodiscard]] std::vector<StateObject> scan(const std::string& prefix,
+                                              const FieldRule& fields) const;
 
   ObjectStore(ObjectDe& de, std::string name, std::size_t shards)
       : de_(de), name_(std::move(name)), objects_(shards) {}
@@ -339,7 +344,8 @@ class ObjectDe {
 
   /// Hash-partitions every store's key space into `n` shards. Shard-local
   /// work (batched-watch flush preparation, list scans) then runs on the
-  /// bound worker pool between commit-seq merge barriers. Observable
+  /// bound worker pool between commit-seq merge barriers. Pending watch
+  /// buffers move to the new layout along with the objects. Observable
   /// behavior is identical for every n (the determinism contract).
   void set_shards(std::size_t n);
   [[nodiscard]] std::size_t shards() const { return shards_; }
@@ -392,12 +398,13 @@ class ObjectDe {
   common::Result<common::Value> transact_sync(const std::string& principal,
                                               std::vector<TxnOp> ops);
 
-  /// Durability simulation: a durable DE (apiserver profile) replays its
-  /// write-ahead log on restart(); a non-durable one (redis) loses all
+  /// Durability simulation. With a persistence engine attached
+  /// (enable_persistence), restart() recovers from the newest valid
+  /// snapshot plus the journal suffix. A durable DE (apiserver profile)
+  /// with no engine keeps its in-memory state — every acked commit is
+  /// already there — so objects keep their versions and timestamps, as
+  /// disk recovery restores them. A non-durable one (redis) loses all
   /// state. Watches and UDFs survive (they are client/config state).
-  /// With a persistence engine attached (enable_persistence) the in-memory
-  /// WAL is replaced by the on-disk journal: restart recovers from the
-  /// newest valid snapshot plus the journal suffix.
   void restart();
 
   /// Attaches a file-backed persistence engine (owned by the caller, must
@@ -419,8 +426,8 @@ class ObjectDe {
   /// Availability simulation for chaos testing. While unavailable, every
   /// client operation fails with Unavailable at its scheduled execution
   /// time (in-flight operations fail too, like a real process dying).
-  /// `crash()` marks the DE down; `recover()` restarts it (WAL replay for
-  /// durable profiles, wipe for non-durable) and marks it up again.
+  /// `crash()` marks the DE down; `recover()` restarts it (see restart():
+  /// disk recovery, kept state, or a wipe) and marks it up again.
   void set_available(bool available) { kernel_.set_available(available); }
   [[nodiscard]] bool available() const { return kernel_.available(); }
   void crash() { kernel_.crash(); }
@@ -429,9 +436,8 @@ class ObjectDe {
   /// Chaos hook for the epoch pipeline: invoked after every epoch's
   /// parallel phase, before the serial merge. Returning true simulates the
   /// process dying mid-epoch — the whole epoch rolls back (state restored,
-  /// no WAL entries, no notifications, every op fails Unavailable) and the
-  /// DE is marked crashed, so recovery replays a WAL that never saw a
-  /// half-merged epoch.
+  /// no journal frame, no notifications, every op fails Unavailable) and
+  /// the DE is marked crashed, so recovery never sees a half-merged epoch.
   void set_epoch_fault_hook(std::function<bool()> hook) {
     epoch_fault_hook_ = std::move(hook);
   }
@@ -478,13 +484,12 @@ class ObjectDe {
     std::string prefix;
     std::string principal;
     ObjectStore::WatchCallback callback;  // per-event mode
-    // Batched mode (watch_batch): callback is empty, batch_callback set.
+    // Batched mode (watch_batch): callback is empty, batch_callback set;
+    // the coalescing window is sub->qos().window.
     ObjectStore::WatchBatchCallback batch_callback;
-    sim::SimTime window = 0;
-    bool batched = false;
     /// The subscription contract (always set; pass-through when the spec
     /// had no filter/projection). Immutable and thread-safe: Phase-B shard
-    /// tasks call sub->apply() concurrently.
+    /// tasks evaluate it concurrently through match_watch.
     std::shared_ptr<const CompiledSubscription> sub;
   };
 
@@ -529,16 +534,6 @@ class ObjectDe {
     std::string udf_name;
   };
 
-  struct WalEntry {
-    std::string store;
-    std::string key;
-    // Shared snapshot of the committed payload (null => delete). Committed
-    // values are immutable behind shared_ptr<const Value>, so the WAL can
-    // reference them zero-copy instead of serializing per commit; replay
-    // copies the value back through commit_write.
-    std::shared_ptr<const common::Value> data;
-  };
-
   /// Who issued a per-op write. Client ops are gated on availability and
   /// counted as writes/deletes; UDF ops run inside an already-admitted UDF
   /// call, and a field-rule rejection there is not counted as a denial.
@@ -553,8 +548,8 @@ class ObjectDe {
                                              EpochWrite write,
                                              const core::TraceContext& ctx);
   /// Commits one write at engine level (no latency charging, no access
-  /// check), journals it and fires watches/triggers. The client path, UDFs,
-  /// transact and WAL replay all commit through here. Returns the new
+  /// check), journals it and fires watches/triggers. The client path, UDFs
+  /// and transact all commit through here. Returns the new
   /// version (0 for a delete). When the provenance ring is enabled, every
   /// put/patch also records a version-chain lineage entry (op
   /// "write:<principal>", input = the key's previous version) so lineage
@@ -576,22 +571,17 @@ class ObjectDe {
     std::vector<AuditEntry> audit;  // buffered access decisions, op order
     bool has_lineage = false;
     core::LineageRecord lineage;
-    bool has_wal = false;
-    WalEntry wal;              // staged; spliced at merge (all-or-nothing)
     /// Serialized journal record, encoded in Phase B straight from the
     /// committed object's shared payload handle (zero-copy read); Phase C
     /// concatenates them in global op order into one atomic frame.
     std::string persist_rec;
     bool undo_existed = false; // rollback state for mid-epoch crashes
     StateObject undo_obj;
+    /// A per-event watcher's delivery, scheduled in the serial merge
+    /// (batched watchers stage into their buffers in Phase B instead).
     struct WatchHit {
       std::size_t watch_index = 0;
-      bool batched = false;
-      FieldRule fields;        // batched: RBAC filter applied at flush
-      WatchEvent event;        // per-event mode: RBAC-filtered, ready to ship
-      /// Batched fallback path: the (possibly projected) payload to
-      /// enqueue at merge time.
-      common::SharedValue payload;
+      WatchEvent event;        // RBAC-filtered, ready to ship
     };
     std::vector<WatchHit> hits;
     /// Subscription-filter accounting, staged shard-locally and folded in
@@ -611,20 +601,21 @@ class ObjectDe {
       const core::TraceContext& client_ctx, std::vector<EpochWrite> writes);
 
   /// Installs one subscription (the single watch-registration path behind
-  /// subscribe/subscribe_batch and the legacy wrappers): allocates the id,
-  /// registers the contract with the kernel's subscription registry, and
-  /// appends the Watch. Exactly one of the callbacks is set.
-  std::uint64_t add_subscription(
-      ObjectStore& store, const std::string& principal,
-      std::shared_ptr<const CompiledSubscription> sub,
+  /// subscribe/subscribe_batch and the legacy wrappers): RBAC watch
+  /// admission, compiles the spec, registers the contract with the
+  /// kernel's subscription registry, and appends the Watch. Exactly one of
+  /// the callbacks is set.
+  common::Result<std::uint64_t> add_subscription(
+      ObjectStore& store, const std::string& principal, SubscriptionSpec spec,
       ObjectStore::WatchCallback callback,
       ObjectStore::WatchBatchCallback batch_callback);
   /// Emits one `sub.filter` span for a commit a subscription's predicate
   /// rejected. Serial-phase only (per-op path, epoch Phase-C fold).
   void note_filtered(const Watch& w, const std::string& key);
-  /// Opens the pending window's `sub.deliver` span when a batched
-  /// subscription's flush gets scheduled (active subscriptions only).
-  void begin_batch_span(const Watch& w, WatchBuffer& buf);
+  /// Opens a `sub.deliver` span for an active subscription (0 when there
+  /// is no tracer or the subscription is pass-through). Per-event
+  /// deliveries open one per event, batched ones one per window.
+  std::uint64_t begin_deliver_span(const Watch& w);
   /// Delivery-side subscription bookkeeping shared by the per-event and
   /// batched paths: registry delivered count, span close with id +
   /// selectivity, and a lineage record naming the subscription.
@@ -634,11 +625,27 @@ class ObjectDe {
 
   void fire_watches(const std::string& store_name, WatchEventType type,
                     const StateObject& obj);
-  void enqueue_batched(Watch& w, WatchEventType type, const StateObject& obj,
-                       const Decision& d, std::uint64_t seq,
-                       const core::TraceContext& ctx);
+  /// What the matching rule decided for one subscriber and one commit.
+  struct WatchMatch {
+    enum class Outcome { kSkip, kFiltered, kDeliver };
+    Outcome outcome = Outcome::kSkip;
+    /// kDeliver: the (projected) payload. Per-event subscribers get it
+    /// RBAC-filtered already; batched ones carry `fields` to the flush.
+    common::SharedValue payload;
+    FieldRule fields;
+  };
+  /// The one matching rule, shared by the per-op path (fire_watches) and
+  /// the epoch pipeline's shard tasks so the two cannot drift: key prefix,
+  /// RBAC kWatch (audited into `audit` at `now`), then the subscription's
+  /// content filter and projection, then the field rule. kSkip = prefix or
+  /// RBAC excluded the subscriber; kFiltered = its predicate rejected the
+  /// commit. Const and pure apart from the caller-owned audit sink, so
+  /// shard tasks call it concurrently; callers keep their own accounting.
+  WatchMatch match_watch(const Watch& w, const StateObject& obj,
+                         sim::SimTime now,
+                         std::vector<AuditEntry>* audit) const;
   /// The one coalescing rule set for batched watches, shared by the per-op
-  /// path (enqueue_batched) and the epoch pipeline's shard tasks so the
+  /// path (fire_watches) and the epoch pipeline's shard tasks so the
   /// two cannot drift. Inserts or coalesces one event into a shard queue;
   /// returns true when it coalesced into an existing slot. With `undo`,
   /// the first overwrite of any pre-epoch slot saves the previous entry
@@ -650,6 +657,9 @@ class ObjectDe {
   /// the cancellation liveness check). Shared by the per-op and epoch
   /// paths so delivery semantics cannot drift.
   void schedule_event_delivery(const Watch& w, WatchEvent event);
+  /// Schedules a batched watcher's flush (window + sampled notify latency,
+  /// one RNG draw) and opens its window span, unless one is pending.
+  void schedule_flush(const Watch& w, WatchBuffer& buf);
   void flush_watch_batch(std::uint64_t watch_id);
   void fire_triggers(const std::string& store_name, WatchEventType type,
                      const StateObject& obj);
@@ -692,14 +702,12 @@ class ObjectDe {
   std::vector<Watch> watches_;
   std::map<std::uint64_t, WatchBuffer> watch_buffers_;  // batched watches
   std::vector<Trigger> triggers_;
-  std::vector<WalEntry> wal_;
   persist::Engine* persist_ = nullptr;  // not owned; see enable_persistence
   /// Journal records staged by commits inside a transaction; flushed as
   /// one atomic frame before the transaction's notifications drain.
   std::vector<std::string> txn_records_;
   core::Tracer* tracer_ = nullptr;          // epoch-pipeline span sink
   core::Metrics* epoch_metrics_ = nullptr;  // epoch-pipeline counter sink
-  bool recovering_ = false;
   /// When set, watch/trigger notifications queue instead of firing
   /// (transactions drain the queue after the full commit).
   bool defer_notifications_ = false;

@@ -1,4 +1,4 @@
-# CI exit-code contract for knctl analyze/lint:
+# CI exit-code contract for knctl analyze/lint/recover --inspect:
 #   0 = clean (warnings allowed), 1 = findings, 2 = unusable input.
 #
 # Usage: cmake -DKNCTL=<path> -DSPECS=<dir> -DFIXTURES=<dir> -P cli_exit_codes.cmake
@@ -62,3 +62,21 @@ if(NOT rc EQUAL 1 OR NOT out MATCHES "\"diagnostics\"")
   message(FATAL_ERROR "lint --format json: rc=${rc} out:\n${out}")
 endif()
 message(STATUS "json smoke OK")
+
+# --- recover --inspect: 0 healthy, 1 torn artifacts, 2 unusable dir --------
+expect_rc("recover missing dir" 2
+  ${KNCTL} recover --inspect ${scratch}/no_such_persist_dir)
+file(REMOVE_RECURSE ${scratch}/persist_empty ${scratch}/persist_torn)
+file(MAKE_DIRECTORY ${scratch}/persist_empty ${scratch}/persist_torn)
+expect_rc("recover empty dir" 0
+  ${KNCTL} recover --inspect ${scratch}/persist_empty)
+execute_process(COMMAND ${KNCTL} recover --inspect ${scratch}/persist_empty
+                        --format json
+                OUTPUT_VARIABLE out RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "\"torn_artifacts\": false")
+  message(FATAL_ERROR "recover --inspect --format json: rc=${rc} out:\n${out}")
+endif()
+file(WRITE ${scratch}/persist_torn/journal-0.kjnl "this is not a journal frame")
+expect_rc("recover torn journal" 1
+  ${KNCTL} recover --inspect ${scratch}/persist_torn)
+message(STATUS "recover --inspect OK")

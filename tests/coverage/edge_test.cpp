@@ -140,7 +140,7 @@ TEST(ObjectEdge, WatchSurvivesDeRestart) {
   (void)store.put_sync("w", "k", Value::object({{"n", 1}}));
   clock.run_all();
   EXPECT_EQ(events, 1);
-  de.restart();  // recovery replays the WAL silently
+  de.restart();  // durable restart keeps state and fires nothing
   clock.run_all();
   EXPECT_EQ(events, 1);
   // New writes after recovery notify as usual.

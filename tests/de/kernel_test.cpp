@@ -120,8 +120,8 @@ TEST(Kernel, RecoverRunsRestartHookThenMarksUp) {
   });
   kernel.crash();
   kernel.recover();
-  // The restart hook runs while the kernel is still marked down (WAL
-  // replay must not accept client traffic mid-recovery).
+  // The restart hook runs while the kernel is still marked down (disk
+  // recovery must not accept client traffic mid-replay).
   ASSERT_EQ(order.size(), 1u);
   EXPECT_EQ(order[0], "down");
   EXPECT_TRUE(kernel.available());

@@ -222,19 +222,38 @@ TEST_F(ObjectDeTest, RedisFasterThanApiserver) {
   EXPECT_GT(apiserver_time, 3 * redis_time);
 }
 
-TEST_F(ObjectDeTest, DurableRestartRecoversFromWal) {
+TEST_F(ObjectDeTest, DurableRestartKeepsStateAndVersions) {
+  // A durable DE with no disk engine keeps every acked commit in memory
+  // across restart(): objects come back with their versions and
+  // timestamps, as disk recovery restores them.
   ObjectDe durable(clock_, ObjectDeProfile::apiserver());
   ObjectStore& store = durable.create_store("s");
   (void)store.put_sync("me", "a", Value::object({{"x", 1}}));
   (void)store.put_sync("me", "b", Value::object({{"x", 2}}));
   (void)store.remove_sync("me", "a");
   (void)store.put_sync("me", "b", Value::object({{"x", 3}}));
+  auto before = store.get_sync("me", "b");
+  ASSERT_TRUE(before.ok());
 
+  clock_.advance(5 * sim::kSecond);
   durable.restart();
   EXPECT_FALSE(store.get_sync("me", "a").ok());
   auto b = store.get_sync("me", "b");
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(b.value().data->get("x")->as_int(), 3);
+  EXPECT_EQ(b.value().version, before.value().version);
+  EXPECT_EQ(b.value().created_at, before.value().created_at);
+  EXPECT_EQ(b.value().updated_at, before.value().updated_at);
+  // The pre-restart version is still the optimistic-concurrency token.
+  std::optional<common::Result<std::uint64_t>> written;
+  store.put_versioned("me", "b", Value::object({{"x", 4}}),
+                      before.value().version,
+                      [&](common::Result<std::uint64_t> r) {
+                        written = std::move(r);
+                      });
+  clock_.run_all();
+  ASSERT_TRUE(written.has_value());
+  EXPECT_TRUE(written->ok());
 }
 
 TEST_F(ObjectDeTest, NonDurableRestartLosesState) {

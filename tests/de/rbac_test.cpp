@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "de/object.h"
 
 namespace knactor::de {
@@ -231,6 +234,53 @@ TEST(RbacEnforcement, ReadFilteringAppliesFieldRules) {
       store.put_sync("limited", "k", Value::object({{"private", 9}})).ok());
   EXPECT_TRUE(
       store.patch_sync("limited", "k", Value::object({{"public", 9}})).ok());
+}
+
+// A UDF runs as its owner, so its engine-level list must hide the same
+// fields the owner's client list and get hide.
+TEST(RbacEnforcement, UdfListAppliesOwnerFieldRules) {
+  sim::VirtualClock clock;
+  ObjectDe de(clock, ObjectDeProfile::instant());
+  ObjectStore& store = de.create_store("s");
+  Rbac& rbac = de.rbac();
+  Role partial = make_role("partial", "s", {Verb::kGet, Verb::kList});
+  partial.rules[0].fields.allowed = {"public"};
+  ASSERT_TRUE(rbac.add_role(partial).ok());
+  ASSERT_TRUE(rbac.add_role(make_role("full", "s", {Verb::kUpdate})).ok());
+  ASSERT_TRUE(
+      rbac.add_role(make_role("invoker", "*", {Verb::kInvokeUdf})).ok());
+  ASSERT_TRUE(rbac.bind("limited", "partial").ok());
+  ASSERT_TRUE(rbac.bind("limited", "invoker").ok());
+  ASSERT_TRUE(rbac.bind("owner", "full").ok());
+  rbac.set_enabled(true);
+  ASSERT_TRUE(store
+                  .put_sync("owner", "k",
+                            Value::object({{"public", 1}, {"private", 2}}))
+                  .ok());
+
+  auto listed = store.list_sync("limited", "");
+  ASSERT_TRUE(listed.ok());
+  ASSERT_EQ(listed.value().size(), 1u);
+  EXPECT_EQ(listed.value()[0].data->get("private"), nullptr);
+
+  std::vector<StateObject> udf_listed;
+  std::optional<StateObject> udf_got;
+  ASSERT_TRUE(de.register_udf("limited", "peek",
+                              [&](UdfContext& ctx, const Value&)
+                                  -> common::Result<Value> {
+                                KN_ASSIGN_OR_RETURN(udf_listed,
+                                                    ctx.list("s", ""));
+                                KN_ASSIGN_OR_RETURN(udf_got, ctx.get("s", "k"));
+                                return Value(true);
+                              })
+                  .ok());
+  ASSERT_TRUE(de.call_udf_sync("limited", "peek", Value::object({})).ok());
+  ASSERT_TRUE(udf_got.has_value());
+  EXPECT_EQ(udf_got->data->get("private"), nullptr);
+  ASSERT_EQ(udf_listed.size(), 1u);
+  EXPECT_EQ(udf_listed[0].key, "k");
+  EXPECT_NE(udf_listed[0].data->get("public"), nullptr);
+  EXPECT_EQ(udf_listed[0].data->get("private"), nullptr);
 }
 
 TEST(RbacEnforcement, UdfRunsAsOwnerPrincipal) {

@@ -168,8 +168,8 @@ TEST_F(DurableRetentionTest, CollectedObjectsStayGoneAcrossRestart) {
   EXPECT_EQ(manager_.sweep("me"), 1u);
   EXPECT_EQ(store_->peek("done"), nullptr);
 
-  // WAL replay: the collected object must not be resurrected (its deletion
-  // is part of the write history) and the held object must survive.
+  // Durable restart: the collected object must not be resurrected (its
+  // deletion was acked) and the held object must survive.
   de_.restart();
   clock_.run_all();
   EXPECT_EQ(store_->peek("done"), nullptr);
@@ -198,7 +198,7 @@ TEST_F(DurableRetentionTest, SweepAgainstCrashedDeCollectsNothing) {
 
   de_.recover();
   clock_.run_all();
-  ASSERT_NE(store_->peek("done"), nullptr);  // recovered from the WAL
+  ASSERT_NE(store_->peek("done"), nullptr);  // kept across the restart
   EXPECT_EQ(manager_.sweep("me"), 1u);
   EXPECT_EQ(store_->peek("done"), nullptr);
 }

@@ -5,6 +5,7 @@
 // earlier events nor dropped.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -201,6 +202,75 @@ TEST_F(WatchBatchTest, TransactionCommitsArriveInOneBatch) {
   clock_.run_all();
   ASSERT_EQ(batches_.size(), 1u);
   EXPECT_EQ(batches_[0].events.size(), 3u);
+}
+
+// A window that opened before set_shards() must deliver exactly what the
+// same workload delivers without the reshard: the pending slots move to
+// the new shard layout, a later epoch coalesces into them, and the flush
+// merge reproduces the single-layout order.
+struct ReshardRun {
+  std::vector<WatchBatch> batches;
+  std::uint64_t coalesced = 0;
+};
+
+ReshardRun run_window_across_reshard(bool reshard) {
+  sim::VirtualClock clock;
+  ObjectDe de(clock, ObjectDeProfile::instant());
+  ObjectStore& store = de.create_store("things");
+  ReshardRun run;
+  store.watch_batch("svc", "", kWindow,
+                    [&run](const WatchBatch& b) { run.batches.push_back(b); });
+  auto obj = [](int n) { return Value::object({{"n", n}}); };
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_TRUE(store.put_sync("svc", "k" + std::to_string(i), obj(i)).ok());
+  }
+  if (reshard) de.set_shards(4);
+  std::vector<EpochWrite> writes;
+  writes.push_back({.key = "k2", .data = obj(20)});  // into a pending slot
+  writes.push_back({.key = "k4", .remove = true});
+  for (int i = 0; i < 6; ++i) {
+    writes.push_back({.key = "n" + std::to_string(i), .data = obj(100 + i)});
+  }
+  writes.push_back({.key = "k0", .data = obj(30), .merge = true});
+  for (const auto& r : store.put_epoch_sync("svc", std::move(writes))) {
+    EXPECT_TRUE(r.ok());
+  }
+  EXPECT_TRUE(store.put_sync("svc", "n1", obj(7)).ok());  // per-op path too
+  clock.run_all();
+  run.coalesced = de.stats().watch_events_coalesced;
+  return run;
+}
+
+TEST(WatchBatchReshard, PendingWindowSurvivesSetShards) {
+  std::set<std::size_t> shards_hit;
+  for (const char* key : {"k0", "k1", "k2", "k3", "k4", "k5"}) {
+    shards_hit.insert(shard_of(key, 4));
+  }
+  ASSERT_GT(shards_hit.size(), 1u);  // the reshard really splits the window
+
+  const ReshardRun base = run_window_across_reshard(false);
+  const ReshardRun moved = run_window_across_reshard(true);
+  ASSERT_EQ(base.batches.size(), 1u);
+  ASSERT_EQ(moved.batches.size(), 1u);
+  const WatchBatch& want = base.batches[0];
+  const WatchBatch& got = moved.batches[0];
+  EXPECT_EQ(want.events.size(), 12u);
+  EXPECT_EQ(want.commits, 16u);
+  EXPECT_EQ(base.coalesced, 4u);
+  EXPECT_EQ(got.commits, want.commits);
+  EXPECT_EQ(moved.coalesced, base.coalesced);
+  ASSERT_EQ(got.events.size(), want.events.size());
+  for (std::size_t i = 0; i < want.events.size(); ++i) {
+    SCOPED_TRACE("event " + std::to_string(i));
+    const WatchEvent& w = want.events[i];
+    const WatchEvent& g = got.events[i];
+    EXPECT_EQ(g.object.key, w.object.key);
+    EXPECT_EQ(g.type, w.type);
+    EXPECT_EQ(g.object.version, w.object.version);
+    EXPECT_EQ(g.ctx.commit_seq, w.ctx.commit_seq);
+    ASSERT_TRUE(g.object.data && w.object.data);
+    EXPECT_EQ(*g.object.data, *w.object.data);
+  }
 }
 
 }  // namespace

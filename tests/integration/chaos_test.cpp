@@ -30,10 +30,11 @@ using common::Value;
 // ---------------------------------------------------------------------------
 
 // The knactor composition exchanges through the Object DE, not the wire, so
-// its chaos surface is the crash windows: the DE itself (durable profile,
-// WAL recovery) and the three pipeline knactors. The integrator retries
-// failed passes; reconcilers are resynced at heal time (the Kubernetes
-// re-list pattern) — no other recovery logic exists anywhere.
+// its chaos surface is the crash windows: the DE itself (durable profile:
+// acked state survives restart) and the three pipeline knactors. The
+// integrator retries failed passes; reconcilers are resynced at heal time
+// (the Kubernetes re-list pattern) — no other recovery logic exists
+// anywhere.
 struct RetailTrialResult {
   bool completed = false;       // order shipped during the chaos run
   bool converged = false;       // post-heal state == oracle
@@ -65,7 +66,7 @@ RetailTrialResult run_retail_trial(std::uint64_t seed, bool inject,
                                    bool filtered_sub = false) {
   core::Runtime runtime;
   apps::RetailKnactorOptions options;
-  options.de_profile = de::ObjectDeProfile::apiserver();  // durable: WAL
+  options.de_profile = de::ObjectDeProfile::apiserver();  // durable
   options.shipment_processing = sim::LatencyModel::constant_ms(10.0);
   options.payment_processing = sim::LatencyModel::constant_ms(1.0);
   options.integrator_retry = sim::RetryPolicy::standard(5);
@@ -258,7 +259,7 @@ TEST(ChaosRetailSharded, ShardedRunsAreBitIdenticalToSerialUnderChaos) {
   // Shard-aware scheduler satellite: the same seeded fault corpus, run with
   // 8 shards on 4 workers, must produce byte-identical fault schedules and
   // converged fingerprints to the 1-shard serial trial — chaos recovery
-  // (WAL replay, retries, resync) included.
+  // (restart, retries, resync) included.
   const int kSeeds = 40;
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     auto serial = run_retail_trial(seed, /*inject=*/true,
@@ -378,13 +379,13 @@ TEST(ChaosRetailEpoch, FaultFreeEpochTrialMatchesOracle) {
 
 // ---------------------------------------------------------------------------
 // Mid-epoch crash atomicity: a worker dying between the parallel commit and
-// the serial merge must not leak a half-merged epoch anywhere — state, WAL,
+// the serial merge must not leak a half-merged epoch anywhere — state,
 // audit, lineage, watches, or triggers.
 // ---------------------------------------------------------------------------
 
 TEST(ChaosEpochAtomicity, MidEpochCrashLeaksNothing) {
   sim::VirtualClock clock;
-  de::ObjectDe de(clock, de::ObjectDeProfile::apiserver());  // durable: WAL
+  de::ObjectDe de(clock, de::ObjectDeProfile::apiserver());  // durable
   de.enable_audit(1024);
   de.kernel().enable_provenance(1024);
   de.set_shards(8);
@@ -457,8 +458,8 @@ TEST(ChaosEpochAtomicity, MidEpochCrashLeaksNothing) {
   EXPECT_EQ(de.audit_log().size(), audit_before);
   EXPECT_EQ(de.kernel().provenance().records().size(), lineage_before);
 
-  // Recovery replays the WAL — which never saw the half-merged epoch, so
-  // the replayed state is exactly the pre-epoch state.
+  // Recovery keeps the durable in-memory state — which the rollback
+  // already restored, so it is exactly the pre-epoch state.
   de.recover();
   while (clock.step()) {
   }
@@ -581,7 +582,7 @@ RideTrialResult run_ride_trial(std::uint64_t seed, bool inject,
                                std::size_t shards = 1, int workers = 1) {
   core::Runtime runtime;
   apps::RideHailingOptions options;
-  options.de_profile = de::ObjectDeProfile::apiserver();  // durable: WAL
+  options.de_profile = de::ObjectDeProfile::apiserver();  // durable
   options.batch_window = 5 * sim::kMillisecond;
   options.integrator_retry = sim::RetryPolicy::standard(5);
   options.shards = shards;

@@ -87,7 +87,7 @@ TEST(Resilience, DurableDeRestartMidExchange) {
   runtime.clock().run_until(runtime.clock().now() + sim::from_ms(100));
   ASSERT_EQ(app.shipping_store->peek("state")->data->get("id"), nullptr);
 
-  app.de->restart();  // WAL recovery; in-flight work is lost
+  app.de->restart();  // durable restart keeps state; in-flight work is lost
   // Reconcilers resync against recovered state.
   for (const char* name : {"checkout", "payment", "shipping", "email"}) {
     core::Knactor* kn = runtime.knactor(name);

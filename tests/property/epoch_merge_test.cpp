@@ -104,7 +104,7 @@ struct Observation {
 // shard/worker configuration must not change anything observable.
 Observation run_epoch_workload(std::uint32_t seed, const EpochConfig& config) {
   sim::VirtualClock clock;
-  de::ObjectDe de(clock, de::ObjectDeProfile::apiserver());  // durable: WAL
+  de::ObjectDe de(clock, de::ObjectDeProfile::apiserver());  // durable
   common::WorkerPool pool(config.workers);
   de.set_shards(config.shards);
   de.set_worker_pool(&pool);

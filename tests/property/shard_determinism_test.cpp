@@ -10,7 +10,7 @@
 //   * ObjectDe differential — randomized CRUD workloads (100+ seeds)
 //     against shards {1,2,8} x workers {1,4}.
 //   * Chaos differential — the same equivalence with crash/recover windows
-//     and WAL replay in the middle of the workload.
+//     (durable restart) in the middle of the workload.
 //   * Runtime differential — the full retail composition (Cast integrator,
 //     batched watches) comparing state, stats, metrics, and trace shape.
 #include <gtest/gtest.h>
@@ -165,7 +165,7 @@ Observation run_object_workload(std::uint32_t seed, const ShardConfig& config,
 
   if (with_chaos) {
     // One crash window mid-workload: in-flight ops fail with Unavailable,
-    // recovery replays the WAL. Identical in every configuration.
+    // recovery keeps the acked state. Identical in every configuration.
     sim::SimTime down = 20 * sim::kMillisecond +
                         static_cast<sim::SimTime>(rng() % 40) * sim::kMillisecond;
     sim::SimTime up = down + 15 * sim::kMillisecond;
